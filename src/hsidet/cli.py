@@ -157,6 +157,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    for i, m in enumerate(methods):
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r} (choose from {','.join(METHODS)})")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} is listed more than once")
     out = args.out
     os.makedirs(out, exist_ok=True)
     if args.preset:
@@ -171,10 +177,6 @@ def cmd_compare(args) -> int:
         base_config = DetectorConfig()
     config = _config_from_args(args, base_config)
 
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r} (choose from {','.join(METHODS)})")
     # shr and wshr share everything up to the residual maps; when both are
     # requested, run that stage once and fuse twice.
     shared = {}

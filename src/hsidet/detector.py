@@ -18,17 +18,15 @@ import numpy as np
 
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
-from .dictlearn import learn_global_dictionaries
+from .dictlearn import learn_global_dictionaries, learn_target_dictionary
 from .hierdict import build_hierarchical, local_background
-from .sparse import SolverParams, sparse_code
+from .sparse import SolverParams, residual_norm, sparse_code
 
 BgProvider = Callable[[int, int], Dictionary]
 
 
 def _pixel_residual(x: np.ndarray, D: Dictionary, params: SolverParams) -> float:
-    code = sparse_code(x, D, params)
-    r = x - D.columns[:, code.indices] @ code.coefficients
-    return float(np.linalg.norm(r))
+    return residual_norm(x, D, sparse_code(x, D, params))
 
 
 def residual_maps(
@@ -147,8 +145,10 @@ def shr_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap
 def std_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:
     """Sparse-representation baseline: each pixel is coded jointly against
     [target atoms, local window atoms] and scored by the difference of
-    class-wise residuals r_b - r_t of the joint code."""
-    D_t, _ = learn_global_dictionaries(cube, d, config)
+    class-wise residuals r_b - r_t of the joint code.  Only the target
+    dictionary is learned: the joint dictionary has no global background
+    part."""
+    D_t = learn_target_dictionary(cube, d, config)
     params = SolverParams(lam=config.lam, max_nonzeros=config.k)
     n_t = D_t.n_atoms
     out = np.empty((cube.height, cube.width))

@@ -99,17 +99,21 @@ def odl_learn(
         for start in range(0, n, params.batch_size):
             batch = order[start:start + params.batch_size]
             codes = []
+            frozen = Dictionary(D)  # D only changes after the whole batch is coded
             for i in batch:
                 x = X[i]
-                code = sparse_code(x, Dictionary(D), solver)
+                code = sparse_code(x, frozen, solver)
                 a = code.dense()
-                codes.append((x, a))
+                codes.append((x, code))
                 r = x - D @ a
                 epoch_obj += 0.5 * float(r @ r) + params.lam * float(np.abs(a).sum())
                 used[code.indices] = True
-            for x, a in codes:
-                A += np.outer(a, a)
-                B += np.outer(x, a)
+            # Only the code's support moves A and B: the dense outer products
+            # add exact zeros everywhere else.
+            for x, code in codes:
+                idx, c = code.indices, code.coefficients
+                A[np.ix_(idx, idx)] += np.outer(c, c)
+                B[:, idx] += np.outer(x, c)
             # Block coordinate descent over atoms on the accumulated statistics.
             for j in range(k):
                 if A[j, j] <= 1e-12:
@@ -126,8 +130,9 @@ def odl_learn(
         # Replace dead atoms with the worst-reconstructed (largest-residual)
         # training samples, normalized.
         residuals = np.empty(n)
+        frozen = Dictionary(D)
         for i in range(n):
-            code = sparse_code(X[i], Dictionary(D), solver)
+            code = sparse_code(X[i], frozen, solver)
             residuals[i] = np.linalg.norm(X[i] - D @ code.dense())
         worst = np.argsort(-residuals)
         for pos, j in enumerate(dead):
@@ -142,6 +147,33 @@ def odl_learn(
     return Dictionary(D)
 
 
+def _odl_params(config: DetectorConfig, n_atoms: int, seed: int) -> OdlParams:
+    return OdlParams(
+        n_atoms=n_atoms,
+        lam=config.lam,
+        epochs=config.odl_epochs,
+        batch_size=config.odl_batch_size,
+        sparsity=config.k,
+        seed=seed,
+    )
+
+
+def _training_sets(cube: HsiCube, d: np.ndarray, config: DetectorConfig):
+    scores = cem_detect(cube, d)
+    return select_training_sets(scores, cube, config.n_target_train, config.bg_fraction)
+
+
+def learn_target_dictionary(
+    cube: HsiCube,
+    d: np.ndarray,
+    config: DetectorConfig,
+) -> Dictionary:
+    """Pre-detect with CEM and learn the target dictionary alone; it equals
+    the first dictionary ``learn_global_dictionaries`` returns."""
+    target_samples, _ = _training_sets(cube, d, config)
+    return odl_learn(target_samples, _odl_params(config, config.n_target_atoms, config.seed))
+
+
 def learn_global_dictionaries(
     cube: HsiCube,
     d: np.ndarray,
@@ -151,22 +183,7 @@ def learn_global_dictionaries(
 
     Returns (target_dictionary, global_background_dictionary).
     """
-    scores = cem_detect(cube, d)
-    target_samples, bg_samples = select_training_sets(
-        scores, cube, config.n_target_train, config.bg_fraction
-    )
-    common = dict(
-        lam=config.lam,
-        epochs=config.odl_epochs,
-        batch_size=config.odl_batch_size,
-        sparsity=config.k,
-    )
-    D_t = odl_learn(
-        target_samples,
-        OdlParams(n_atoms=config.n_target_atoms, seed=config.seed, **common),
-    )
-    D_b_global = odl_learn(
-        bg_samples,
-        OdlParams(n_atoms=config.n_bg_atoms, seed=config.seed + 1, **common),
-    )
+    target_samples, bg_samples = _training_sets(cube, d, config)
+    D_t = odl_learn(target_samples, _odl_params(config, config.n_target_atoms, config.seed))
+    D_b_global = odl_learn(bg_samples, _odl_params(config, config.n_bg_atoms, config.seed + 1))
     return D_t, D_b_global

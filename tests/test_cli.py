@@ -145,6 +145,17 @@ class TestCompareCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_repeated_method_is_runtime_error(self, tmp_path, capsys):
+        paths = write_tiny_scene(str(tmp_path / "scene"))
+        out = tmp_path / "o"
+        rc = main(["compare", "--cube", paths["cube"], "--signature", paths["signature"],
+                   "--mask", paths["mask"], "--methods", "cem,ace,cem",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'cem'" in err
+        assert not (out / "auc.csv").exists()
+
     def test_compare_without_inputs_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--out", str(tmp_path / "o")])

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 import hsidet as h
+from hsidet import dictlearn
 
 
 def tiny_config(**overrides):
@@ -235,6 +236,20 @@ class TestPipeline:
         cube, mask, signature = tiny_scene(seed=3)
         smap = h.wshr_detect(cube, signature, tiny_config())
         assert h.auc(h.roc(smap, mask)) > 0.9
+
+    def test_std_detect_learns_only_the_target_dictionary(self, monkeypatch):
+        calls = []
+        learn = dictlearn.odl_learn
+
+        def counting(samples, params, *args, **kwargs):
+            calls.append(params.n_atoms)
+            return learn(samples, params, *args, **kwargs)
+
+        monkeypatch.setattr(dictlearn, "odl_learn", counting)
+        cube, mask, signature = tiny_scene(seed=4)
+        config = tiny_config()
+        h.std_detect(cube, signature, config)
+        assert calls == [config.n_target_atoms]
 
     def test_std_detect_runs_and_scores_targets_higher(self):
         cube, mask, signature = tiny_scene(seed=4)

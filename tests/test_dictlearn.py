@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hsidet as h
+from hsidet.dictlearn import learn_target_dictionary
 
 
 def rank_one_samples(rng, n=30, bands=8):
@@ -19,7 +20,73 @@ def subspace_samples(rng, n=60, bands=10, dim=3):
     return basis, coef @ basis.T
 
 
+def dense_outer_odl(samples, params):
+    """ODL with dense rank-one statistics updates and a fresh dictionary per
+    coding call.  Returns (dictionary, per-epoch objectives, dead atoms)."""
+    X = np.asarray(samples, dtype=np.float64)
+    n, m = X.shape
+    k = params.n_atoms
+    D = h.init_dictionary(X, k, params.seed).columns.copy()
+    rng = np.random.default_rng(params.seed + 1)
+    solver = h.SolverParams(lam=params.lam, max_nonzeros=min(params.sparsity, k))
+    A, B = np.zeros((k, k)), np.zeros((m, k))
+    used = np.zeros(k, dtype=bool)
+    trace = []
+    for _ in range(params.epochs):
+        order = rng.permutation(n)
+        epoch_obj = 0.0
+        for start in range(0, n, params.batch_size):
+            codes = []
+            for i in order[start:start + params.batch_size]:
+                code = h.sparse_code(X[i], h.Dictionary(D), solver)
+                a = code.dense()
+                codes.append((X[i], a))
+                r = X[i] - D @ a
+                epoch_obj += 0.5 * float(r @ r) + params.lam * float(np.abs(a).sum())
+                used[code.indices] = True
+            for x, a in codes:
+                A += np.outer(a, a)
+                B += np.outer(x, a)
+            for j in range(k):
+                if A[j, j] <= 1e-12:
+                    continue
+                u = D[:, j] + (B[:, j] - D @ A[:, j]) / A[j, j]
+                norm = np.linalg.norm(u)
+                if norm > 0.0:
+                    D[:, j] = u / norm
+        trace.append(epoch_obj / n)
+    dead = np.flatnonzero(~used)
+    if dead.size:
+        residuals = np.array([
+            np.linalg.norm(x - D @ h.sparse_code(x, h.Dictionary(D), solver).dense())
+            for x in X
+        ])
+        worst = np.argsort(-residuals)
+        for pos, j in enumerate(dead):
+            repl = X[worst[pos % n]]
+            D[:, j] = repl / np.linalg.norm(repl)
+    D /= np.linalg.norm(D, axis=0)
+    return h.Dictionary(D), trace, dead.size
+
+
 class TestOdlLearn:
+    @pytest.mark.parametrize("n_samples,bands,n_atoms,lam", [
+        (12, 10, 30, 0.1),   # more atoms than samples: dead atoms are replaced
+        (60, 20, 12, 0.05),  # greedy coding path, codes of several atoms
+        (30, 8, 6, 0.0),     # exact enumeration path, plain least squares
+    ])
+    def test_matches_dense_outer_reference_bit_exact(self, n_samples, bands, n_atoms, lam):
+        rng = np.random.default_rng(n_atoms)
+        X = rng.normal(size=(n_samples, bands))  # codes with several atoms
+        params = h.OdlParams(n_atoms=n_atoms, lam=lam, epochs=3, batch_size=8, seed=4)
+        trace = []
+        D = h.odl_learn(X, params, objective_trace=trace)
+        want, want_trace, dead = dense_outer_odl(X, params)
+        assert np.array_equal(D.columns, want.columns)
+        assert trace == want_trace
+        if n_atoms > n_samples:
+            assert dead > 0
+
     def test_atoms_are_unit_norm(self):
         rng = np.random.default_rng(0)
         X = rng.random((40, 8)) + 0.1
@@ -145,6 +212,17 @@ class TestLearnGlobalDictionaries:
         b = h.learn_global_dictionaries(cube, d, config)
         assert np.array_equal(a[0].columns, b[0].columns)
         assert np.array_equal(a[1].columns, b[1].columns)
+
+    def test_target_dictionary_alone_equals_the_first_of_both(self):
+        rng = np.random.default_rng(12)
+        cube = h.HsiCube(rng.random((6, 10, 10)) + 0.1)
+        d = rng.random(6) + 0.3
+        config = h.DetectorConfig(
+            window=h.WindowSpec(5, 1), n_target_atoms=3, n_bg_atoms=8,
+            n_target_train=5, odl_epochs=2, seed=5,
+        )
+        D_t, _ = h.learn_global_dictionaries(cube, d, config)
+        assert np.array_equal(learn_target_dictionary(cube, d, config).columns, D_t.columns)
 
     def test_default_atom_counts(self):
         config = h.DetectorConfig()
