@@ -7,12 +7,10 @@ from .cube import (
     HsiCube,
     ScoreMap,
     load_cube,
-    load_dictionary,
     load_mask,
     load_scoremap,
     load_signature,
     save_cube,
-    save_dictionary,
     save_mask,
     save_scoremap,
     save_signature,

@@ -81,6 +81,9 @@ class Dictionary:
         arr = np.array(self.columns, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError("dictionary must be 2-D (bands, atoms)")
+        if not np.all(np.isfinite(arr)):
+            bad = np.argwhere(~np.isfinite(arr))[0]
+            raise ValueError(f"non-finite dictionary value at band={bad[0]}, atom={bad[1]}")
         norms = np.linalg.norm(arr, axis=0)
         if arr.shape[1] and np.any(norms == 0.0):
             raise ValueError("dictionary contains a zero column")
@@ -252,22 +255,38 @@ def save_scoremap(smap: ScoreMap, path: str) -> None:
 
 
 def load_scoremap(path: str) -> ScoreMap:
-    """Reload a saved score map; dimensions come from the CSV, values from the
-    raster (the CSV scores are full-precision text, the raster is float32)."""
-    base = _strip_known_ext(path)
+    """Reload a saved score map from its CSV, which gives both the
+    dimensions and the full-precision values; the float32 ``.f32`` raster
+    is not read.  The rows must cover every (x, y) cell exactly once."""
+    csv_path = _strip_known_ext(path) + ".csv"
     xs, ys, scores = [], [], []
-    with open(base + ".csv", "r", encoding="ascii") as fh:
+    with open(csv_path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "x,y,score":
-            raise FormatError(f"bad score-map CSV header: {header!r}")
-        for line in fh:
-            x_s, y_s, s_s = line.strip().split(",")
-            xs.append(int(x_s))
-            ys.append(int(y_s))
-            scores.append(float(s_s))
+            raise FormatError(f"{csv_path}: bad score-map CSV header: {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                x_s, y_s, s_s = line.strip().split(",")
+                x, y = int(x_s), int(y_s)
+                scores.append(float(s_s))
+            except ValueError as exc:
+                raise FormatError(
+                    f"{csv_path}:{lineno}: bad x,y,score row {line.strip()!r}"
+                ) from exc
+            if x < 0 or y < 0:
+                raise FormatError(f"{csv_path}:{lineno}: negative coordinate")
+            xs.append(x)
+            ys.append(y)
+    if not scores:
+        raise FormatError(f"{csv_path}: no score rows")
     w, h = max(xs) + 1, max(ys) + 1
+    cells = np.asarray(ys) * w + np.asarray(xs)
+    _, first = np.unique(cells, return_index=True)
+    if first.size != cells.size:
+        row = int(np.setdiff1d(np.arange(cells.size), first)[0])
+        raise FormatError(f"{csv_path}:{row + 2}: repeated cell x={xs[row]}, y={ys[row]}")
     if len(scores) != w * h:
-        raise FormatError(f"{base}.csv: expected {w * h} rows, found {len(scores)}")
+        raise FormatError(f"{csv_path}: expected {w * h} rows, found {len(scores)}")
     values = np.empty((h, w), dtype=np.float64)
     values[np.asarray(ys), np.asarray(xs)] = scores
     return ScoreMap(values)
@@ -303,7 +322,7 @@ def load_mask(path: str) -> GroundTruthMask:
 
 
 # ---------------------------------------------------------------------------
-# Spectrum / dictionary CSV I/O
+# Spectrum CSV I/O
 # ---------------------------------------------------------------------------
 
 
@@ -321,27 +340,3 @@ def load_signature(path: str) -> np.ndarray:
     if not values:
         raise FormatError(f"{path}: empty signature")
     return np.asarray(values, dtype=np.float64)
-
-
-def save_dictionary(dic: Dictionary, path: str) -> None:
-    """Dictionary CSV: header row ``atoms,bands``, then one row per band with
-    one column per atom."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{dic.n_atoms},{dic.bands}\n")
-        for row in dic.columns:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_dictionary(path: str) -> Dictionary:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 2:
-            raise FormatError(f"{path}: bad dictionary header")
-        n_atoms, bands = int(header[0]), int(header[1])
-        rows = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
-    mat = np.asarray(rows, dtype=np.float64)
-    if mat.shape != (bands, n_atoms):
-        raise FormatError(
-            f"{path}: expected {bands}x{n_atoms} values, found {mat.shape}"
-        )
-    return Dictionary(mat)

@@ -29,6 +29,33 @@ def _pixel_residual(x: np.ndarray, D: Dictionary, params: SolverParams) -> float
     return residual_norm(x, D, sparse_code(x, D, params))
 
 
+def _score_pixels(
+    cube: HsiCube,
+    score: Callable[[np.ndarray, int, int], object],
+    n_maps: int,
+    threads: int,
+) -> np.ndarray:
+    """Maps of shape (n_maps, height, width) holding ``score(spec, x, y)``,
+    which gives ``n_maps`` floats, for every pixel.
+
+    ``threads`` distributes rows over a thread pool; each pixel writes its
+    own cells, so the result does not depend on the worker count.
+    """
+    out = np.empty((n_maps, cube.height, cube.width))
+
+    def do_row(y: int) -> None:
+        for x in range(cube.width):
+            out[:, y, x] = score(cube.data[:, y, x], x, y)
+
+    if threads <= 1:
+        for y in range(cube.height):
+            do_row(y)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(do_row, range(cube.height)))
+    return out
+
+
 def residual_maps(
     cube: HsiCube,
     D_t: Dictionary,
@@ -39,26 +66,17 @@ def residual_maps(
     """Residual of every pixel coded against the target dictionary alone and
     against its per-pixel hierarchical background dictionary.
 
-    ``threads`` distributes rows over a thread pool; results are assembled
-    by index and do not depend on the worker count.
+    ``threads`` distributes rows over a thread pool without changing the
+    result.
     """
     if D_t.bands != cube.bands:
         raise ValueError("target dictionary bands do not match cube")
-    r_t = np.empty((cube.height, cube.width))
-    r_b = np.empty((cube.height, cube.width))
 
-    def do_row(y: int) -> None:
-        for x in range(cube.width):
-            spec = cube.data[:, y, x]
-            r_t[y, x] = _pixel_residual(spec, D_t, params)
-            r_b[y, x] = _pixel_residual(spec, bg_provider(x, y), params)
+    def score(spec: np.ndarray, x: int, y: int) -> tuple[float, float]:
+        return (_pixel_residual(spec, D_t, params),
+                _pixel_residual(spec, bg_provider(x, y), params))
 
-    if threads <= 1:
-        for y in range(cube.height):
-            do_row(y)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(do_row, range(cube.height)))
+    r_t, r_b = _score_pixels(cube, score, 2, threads)
     return ScoreMap(r_t), ScoreMap(r_b)
 
 
@@ -151,25 +169,13 @@ def std_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap
     D_t = learn_target_dictionary(cube, d, config)
     params = SolverParams(lam=config.lam, max_nonzeros=config.k)
     n_t = D_t.n_atoms
-    out = np.empty((cube.height, cube.width))
 
-    def do_row(y: int) -> None:
-        for x in range(cube.width):
-            spec = cube.data[:, y, x]
-            local = local_background(cube, x, y, config.window)
-            joint = Dictionary(np.hstack([D_t.columns, local.columns]))
-            code = sparse_code(spec, joint, params)
-            dense = code.dense()
-            rec_t = D_t.columns @ dense[:n_t]
-            rec_b = local.columns @ dense[n_t:]
-            out[y, x] = float(
-                np.linalg.norm(spec - rec_b) - np.linalg.norm(spec - rec_t)
-            )
+    def score(spec: np.ndarray, x: int, y: int) -> float:
+        local = local_background(cube, x, y, config.window)
+        joint = Dictionary(np.hstack([D_t.columns, local.columns]))
+        dense = sparse_code(spec, joint, params).dense()
+        rec_t = D_t.columns @ dense[:n_t]
+        rec_b = local.columns @ dense[n_t:]
+        return float(np.linalg.norm(spec - rec_b) - np.linalg.norm(spec - rec_t))
 
-    if config.threads <= 1:
-        for y in range(cube.height):
-            do_row(y)
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(do_row, range(cube.height)))
-    return ScoreMap(out)
+    return ScoreMap(_score_pixels(cube, score, 1, config.threads)[0])

@@ -2,26 +2,13 @@
 
 Minimizes 0.5 * ||x - D a||^2 + lambda * ||a||_1 over coefficient vectors
 supported on at most ``max_nonzeros`` atoms.  Small dictionaries are solved
-exactly by sweeping every support; larger ones use greedy atom admission
-refined by a one-atom swap polish.  Either way each fixed-support
+exactly by sweeping every support; larger ones use greedy atom admission,
+as in the orthogonal matching pursuit of sparse-representation target
+detectors (Chen, Nasrabadi & Tran 2011).  Either way each fixed-support
 subproblem is solved exactly: for supports up to ``_SIGN_ENUM_LIMIT``
 atoms by enumerating sign patterns of the stationarity system, beyond that
 by soft-thresholded coordinate descent in Gram space.  Coefficient signs
 are unconstrained.
-
-The swap polish tries up to ``_SWAP_CANDIDATES`` replacements for each
-removed atom.  As in Batch-OMP (Rubinstein, Zibulevsky & Elad 2008), their
-subproblems are solved together: the shortlisted trial supports form one
-stack of ``(c, s, s)`` Gram systems with ``(c, s, 2^s)`` sign right-hand
-sides, solved by a single ``np.linalg.solve`` call, with stacked
-consistency masks and data-space objectives.  The stack only screens: a
-candidate whose stacked objective exceeds the acceptance threshold by more
-than a rounding allowance is skipped, and the rest are re-solved one at a
-time in shortlist order, so accepted coefficients and objectives always
-come from the single-support solve.  The stacked Gram systems, and hence
-their sign-pattern solutions, are bit-identical to the single-support
-ones, so the polish makes exactly the choices of a one-candidate-at-a-time
-loop (``tests/test_sparse.py`` keeps that loop as its reference).
 """
 
 from __future__ import annotations
@@ -35,10 +22,8 @@ import numpy as np
 
 from .cube import Dictionary
 
-_SWAP_CANDIDATES = 8   # swap-polish shortlist size per removed atom
 _ENUM_LIMIT = 512      # max support count for the exact small-dictionary path
 _SIGN_ENUM_LIMIT = 12  # largest support solved by sign enumeration
-_SCREEN_RTOL = 1e-9    # rounding allowance of the stacked swap-polish screen
 
 
 @dataclass(frozen=True)
@@ -96,22 +81,6 @@ def _sign_patterns(size: int) -> np.ndarray:
     return signs
 
 
-def _consistent(A, signs):
-    """Sign patterns (columns of A, per stacked system) whose solution
-    agrees with the assumed signs."""
-    return np.all(A * signs >= -1e-12, axis=-2)
-
-
-def _objectives(x, Ds, A, lam):
-    """Data-space objective of every column of A, per stacked system.
-
-    The Gram-space form cancels catastrophically when a near-singular
-    support yields huge coefficients, letting garbage candidates win.
-    """
-    R = x[:, None] - Ds @ A
-    return 0.5 * np.einsum("...ij,...ij->...j", R, R) + lam * np.abs(A).sum(axis=-2)
-
-
 def _objective_gram(a, G, b, xx, lam):
     return 0.5 * xx - float(a @ b) + 0.5 * float(a @ G @ a) + lam * float(np.abs(a).sum())
 
@@ -160,54 +129,19 @@ def _solve_support(Ds, x, lam, params):
         A = np.linalg.solve(G, rhs)                              # (size, 2^size)
     except np.linalg.LinAlgError:
         A, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-    consistent = _consistent(A, signs)
+    consistent = np.all(A * signs >= -1e-12, axis=0)
     best_a, best_obj = np.zeros(size), 0.5 * xx
     if np.any(consistent):
         A = A[:, consistent]
-        objs = _objectives(x, Ds, A, lam)
+        # Objectives in data space: the Gram-space form cancels
+        # catastrophically when a near-singular support yields huge
+        # coefficients, letting garbage candidates win.
+        R = x[:, None] - Ds @ A
+        objs = 0.5 * np.einsum("ij,ij->j", R, R) + lam * np.abs(A).sum(axis=0)
         j = int(np.argmin(objs))
         if objs[j] < best_obj:
             best_a, best_obj = A[:, j], float(objs[j])
     return best_a, best_obj
-
-
-def _screen_candidates(x, mat, kept, cands, lam):
-    """Lower bounds on the objective ``_solve_support`` returns for each
-    trial support ``kept + [cand]``, from one stacked solve.
-
-    A candidate that repeats a kept atom (singular Gram matrix), or a stack
-    that ``_solve_support`` would not solve by sign enumeration, gets -inf:
-    it is solved one at a time.
-    """
-    size = len(kept) + 1
-    bounds = np.full(len(cands), -np.inf)
-    fresh = [c not in kept for c in cands.tolist()]
-    if lam == 0.0 or size > _SIGN_ENUM_LIMIT or not any(fresh):
-        return bounds
-    trials = np.array([kept + [c] for c, f in zip(cands.tolist(), fresh) if f])
-    # Gathered as (c, s, m) rows, each stacked Gram matrix and correlation
-    # vector is bit-identical to the single-support Ds.T @ Ds and Ds.T @ x,
-    # hence so is every sign-pattern solution and its consistency.
-    DsT = mat.T[trials]
-    G = DsT @ DsT.transpose(0, 2, 1)
-    b = DsT @ x
-    signs = _sign_patterns(size)
-    try:
-        A = np.linalg.solve(G, b[:, :, None] - lam * signs)
-    except np.linalg.LinAlgError:
-        return bounds
-    objs = _objectives(x, DsT.transpose(0, 2, 1), A, lam)
-    # Stacked and single-support objectives of the same solution differ only
-    # in summation order, by far less than the allowance
-    # 1e-9 * ((||x|| + sum_j ||d_j|| |a_j|)^2 + obj).
-    norms = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
-    xx = float(x @ x)
-    scale = np.sqrt(xx) + np.einsum("cs,csj->cj", norms, np.abs(A))
-    lower = objs - _SCREEN_RTOL * (scale * scale + objs)
-    # Without a consistent pattern the single solve returns the zero code.
-    lower = np.where(_consistent(A, signs), lower, np.inf)
-    bounds[fresh] = lower.min(axis=1, initial=0.5 * xx)
-    return bounds
 
 
 def _make_code(support, a, n_atoms) -> SparseCode:
@@ -258,40 +192,6 @@ def _greedy(x, mat, cap, params, trace):
         support, a, best_obj = trial, a_new, obj
         if trace is not None:
             trace.append(obj)
-
-    # Swap polish: try replacing each active atom with the best-correlated
-    # outside candidates, screened by one stacked solve; keep the first
-    # strict improvement in shortlist order.
-    shortlist = min(n_atoms, _SWAP_CANDIDATES)
-    for _ in range(2 * cap):
-        improved = False
-        for pos in range(len(support)):
-            kept = support[:pos] + support[pos + 1:]
-            a_kept, _ = (
-                _solve_support(mat[:, kept], x, params.lam, params)
-                if kept else (np.zeros(0), None)
-            )
-            r = x - mat[:, kept] @ a_kept if kept else x
-            corr = np.abs(mat.T @ r)
-            corr[np.asarray(support)] = -1.0
-            cands = np.argsort(-corr)[:shortlist]
-            threshold = best_obj - 1e-12
-            bounds = _screen_candidates(x, mat, kept, cands, params.lam)
-            for cand, bound in zip(cands, bounds):
-                if bound >= threshold:
-                    continue  # its exact objective cannot pass the threshold
-                trial = kept + [int(cand)]
-                a_new, obj = _solve_support(mat[:, trial], x, params.lam, params)
-                if obj < threshold:
-                    support, a, best_obj = trial, a_new, obj
-                    improved = True
-                    if trace is not None:
-                        trace.append(obj)
-                    break
-            if improved:
-                break
-        if not improved:
-            break
     return _make_code(support, a, n_atoms)
 
 

@@ -35,6 +35,12 @@ class TestHsiCube:
         with pytest.raises(IndexError):
             cube.pixel_at(0, -1)
 
+    def test_dictionary_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            h.Dictionary([[np.nan], [1.0]])
+        with pytest.raises(ValueError, match="atom=1"):
+            h.Dictionary([[1.0, 0.0], [0.0, np.inf]])
+
     def test_pixel_at_matches_canonical_flat_layout(self):
         # value at (x, y, b) must equal flat[b*W*H + y*W + x]
         b, height, width = 3, 4, 5
@@ -122,6 +128,28 @@ class TestScoreMapIO:
         assert (tmp_path / "s.f32").exists()
         assert (tmp_path / "s.csv").read_text().startswith("x,y,score\n")
 
+    def test_header_only_csv_rejected(self, tmp_path):
+        (tmp_path / "s.csv").write_text("x,y,score\n")
+        with pytest.raises(FormatError, match=r"s\.csv: no score rows"):
+            h.load_scoremap(str(tmp_path / "s"))
+
+    def test_short_row_rejected(self, tmp_path):
+        (tmp_path / "s.csv").write_text("x,y,score\n0,0,1.0\n1,0\n")
+        with pytest.raises(FormatError, match=r"s\.csv:3: bad x,y,score row"):
+            h.load_scoremap(str(tmp_path / "s"))
+
+    def test_repeated_cell_rejected(self, tmp_path):
+        # Four rows for a 2x2 map: (0, 0) twice and (0, 1) never.
+        (tmp_path / "s.csv").write_text("x,y,score\n0,0,1.0\n1,0,2.0\n0,0,3.0\n1,1,4.0\n")
+        with pytest.raises(FormatError, match=r"s\.csv:4: repeated cell x=0, y=0"):
+            h.load_scoremap(str(tmp_path / "s"))
+
+    def test_negative_coordinate_rejected(self, tmp_path):
+        # x=-1, y=1 would index the same flat cell as (1, 0) and wrap onto (1, 1).
+        (tmp_path / "s.csv").write_text("x,y,score\n0,0,1.0\n-1,1,2.0\n0,1,3.0\n1,1,4.0\n")
+        with pytest.raises(FormatError, match=r"s\.csv:3: negative coordinate"):
+            h.load_scoremap(str(tmp_path / "s"))
+
 
 class TestMaskIO:
     def test_round_trip(self, tmp_path):
@@ -149,14 +177,6 @@ class TestMaskIO:
 
 
 class TestDictionaryIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        mat = rng.normal(size=(6, 4))
-        dic = h.normalize_atoms(h.Dictionary(mat))
-        h.save_dictionary(dic, str(tmp_path / "d.csv"))
-        again = h.load_dictionary(str(tmp_path / "d.csv"))
-        assert np.array_equal(dic.columns, again.columns)
-
     def test_signature_round_trip(self, tmp_path):
         sig = np.random.default_rng(4).random(9)
         h.save_signature(sig, str(tmp_path / "sig.csv"))
