@@ -30,6 +30,6 @@ from .hierdict import WindowSpec, build_hierarchical, local_background, normaliz
 from .metrics import RocCurve, auc, compare, roc, write_comparison
 from .predetect import ace_detect, cem_detect, select_training_sets
 from .sparse import SolverParams, SparseCode, residual_norm, sparse_code
-from .synth import PRESETS, SceneSpec, generate, preset_scenes
+from .synth import PRESETS, SceneSpec, generate
 
 __version__ = "0.1.0"

@@ -65,7 +65,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-targets", type=int, help="target training sample count")
     p.add_argument("--bg-fraction", type=float, help="background training fraction")
     p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--threads", type=int, help="parallel worker cap (default 1)")
+    p.add_argument("--threads", type=int,
+                   help="accepted (>= 1) but unused: changes neither the work nor the output")
     p.add_argument("--orientation", choices=("flip_target", "flip_both", "literal"))
 
 

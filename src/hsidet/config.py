@@ -37,7 +37,7 @@ class DetectorConfig:
     odl_epochs: int = 5
     odl_batch_size: int = 32
     orientation: str = "flip_both"
-    threads: int = 1
+    threads: int = 1              # accepted for compatibility; changes no work or output
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -67,12 +67,6 @@ class DetectorConfig:
             "orientation": self.orientation,
             "threads": self.threads,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectorConfig":
-        d = dict(d)
-        window = WindowSpec(d.pop("owr"), d.pop("iwr"))
-        return cls(window=window, **d)
 
 
 def preset_config(preset: str) -> DetectorConfig:

@@ -98,9 +98,6 @@ class Dictionary:
     def n_atoms(self) -> int:
         return self.columns.shape[1]
 
-    def atom(self, j: int) -> np.ndarray:
-        return self.columns[:, j].copy()
-
 
 @dataclass(frozen=True)
 class ScoreMap:
@@ -170,27 +167,27 @@ def _raw_path(header_path: str) -> str:
 def _parse_header(header_path: str) -> dict:
     fields = {}
     with open(header_path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if ":" not in line:
-                raise FormatError(f"bad header line: {line!r}")
+                raise FormatError(f"{header_path}:{lineno}: bad header line: {line!r}")
             key, value = line.split(":", 1)
             fields[key.strip().lower()] = value.strip().lower()
     for key in ("width", "height", "bands", "dtype", "interleave"):
         if key not in fields:
-            raise FormatError(f"header missing field {key!r}")
+            raise FormatError(f"{header_path}: header missing field {key!r}")
     if fields["dtype"] != "float32":
-        raise FormatError(f"unsupported dtype {fields['dtype']!r}")
+        raise FormatError(f"{header_path}: unsupported dtype {fields['dtype']!r}")
     if fields["interleave"] not in _INTERLEAVES:
-        raise FormatError(f"unsupported interleave {fields['interleave']!r}")
+        raise FormatError(f"{header_path}: unsupported interleave {fields['interleave']!r}")
     try:
         dims = {k: int(fields[k]) for k in ("width", "height", "bands")}
     except ValueError as exc:
-        raise FormatError(f"non-integer dimension in header: {exc}") from exc
+        raise FormatError(f"{header_path}: non-integer dimension in header: {exc}") from exc
     if min(dims.values()) < 1:
-        raise FormatError("header dimensions must all be >= 1")
+        raise FormatError(f"{header_path}: header dimensions must all be >= 1")
     return {**dims, "interleave": fields["interleave"]}
 
 
@@ -335,8 +332,19 @@ def save_signature(values: np.ndarray, path: str) -> None:
 
 
 def load_signature(path: str) -> np.ndarray:
+    """Read a single-column CSV of finite band values; blank lines are skipped."""
+    values = []
     with open(path, "r", encoding="ascii") as fh:
-        values = [float(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = float(line)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad band value {line.strip()!r}") from exc
+            if not np.isfinite(value):
+                raise FormatError(f"{path}:{lineno}: non-finite band value {line.strip()!r}")
+            values.append(value)
     if not values:
         raise FormatError(f"{path}: empty signature")
     return np.asarray(values, dtype=np.float64)

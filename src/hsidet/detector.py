@@ -11,7 +11,6 @@ receive high fused scores (see ``config.ORIENTATIONS``).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -33,26 +32,13 @@ def _score_pixels(
     cube: HsiCube,
     score: Callable[[np.ndarray, int, int], object],
     n_maps: int,
-    threads: int,
 ) -> np.ndarray:
     """Maps of shape (n_maps, height, width) holding ``score(spec, x, y)``,
-    which gives ``n_maps`` floats, for every pixel.
-
-    ``threads`` distributes rows over a thread pool; each pixel writes its
-    own cells, so the result does not depend on the worker count.
-    """
+    which gives ``n_maps`` floats, for every pixel."""
     out = np.empty((n_maps, cube.height, cube.width))
-
-    def do_row(y: int) -> None:
+    for y in range(cube.height):
         for x in range(cube.width):
             out[:, y, x] = score(cube.data[:, y, x], x, y)
-
-    if threads <= 1:
-        for y in range(cube.height):
-            do_row(y)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(do_row, range(cube.height)))
     return out
 
 
@@ -61,14 +47,9 @@ def residual_maps(
     D_t: Dictionary,
     bg_provider: BgProvider,
     params: SolverParams,
-    threads: int = 1,
 ) -> tuple[ScoreMap, ScoreMap]:
     """Residual of every pixel coded against the target dictionary alone and
-    against its per-pixel hierarchical background dictionary.
-
-    ``threads`` distributes rows over a thread pool without changing the
-    result.
-    """
+    against its per-pixel hierarchical background dictionary."""
     if D_t.bands != cube.bands:
         raise ValueError("target dictionary bands do not match cube")
 
@@ -76,7 +57,7 @@ def residual_maps(
         return (_pixel_residual(spec, D_t, params),
                 _pixel_residual(spec, bg_provider(x, y), params))
 
-    r_t, r_b = _score_pixels(cube, score, 2, threads)
+    r_t, r_b = _score_pixels(cube, score, 2)
     return ScoreMap(r_t), ScoreMap(r_b)
 
 
@@ -140,7 +121,7 @@ def hierarchical_residuals(
         local = local_background(cube, x, y, config.window)
         return build_hierarchical(D_b_global, local)
 
-    return residual_maps(cube, D_t, bg_provider, params, threads=config.threads)
+    return residual_maps(cube, D_t, bg_provider, params)
 
 
 def _fused_detect(cube, d, config: DetectorConfig, gamma: float) -> ScoreMap:
@@ -178,4 +159,4 @@ def std_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap
         rec_b = local.columns @ dense[n_t:]
         return float(np.linalg.norm(spec - rec_b) - np.linalg.norm(spec - rec_t))
 
-    return ScoreMap(_score_pixels(cube, score, 1, config.threads)[0])
+    return ScoreMap(_score_pixels(cube, score, 1)[0])

@@ -56,15 +56,11 @@ def local_background(cube: HsiCube, x: int, y: int, w: WindowSpec) -> Dictionary
     ix0, ix1 = _clamped(x, w.inner // 2, cube.width)
     iy0, iy1 = _clamped(y, w.inner // 2, cube.height)
 
-    atoms = []
-    for yy in range(oy0, oy1 + 1):
-        for xx in range(ox0, ox1 + 1):
-            if ix0 <= xx <= ix1 and iy0 <= yy <= iy1:
-                continue
-            atoms.append(cube.data[:, yy, xx])
-    if not atoms:
+    ring = np.ones((oy1 - oy0 + 1, ox1 - ox0 + 1), dtype=bool)
+    ring[iy0 - oy0:iy1 - oy0 + 1, ix0 - ox0:ix1 - ox0 + 1] = False
+    if not ring.any():
         raise ValueError(f"empty local window ring at ({x}, {y})")
-    mat = np.stack(atoms, axis=1)
+    mat = cube.data[:, oy0:oy1 + 1, ox0:ox1 + 1][:, ring]
     norms = np.linalg.norm(mat, axis=0)
     mat = mat[:, norms > 0.0]
     if mat.shape[1] == 0:

@@ -24,22 +24,20 @@ from .cube import Dictionary
 
 _ENUM_LIMIT = 512      # max support count for the exact small-dictionary path
 _SIGN_ENUM_LIMIT = 12  # largest support solved by sign enumeration
+_CD_MAX_ITER = 200     # coordinate-descent sweeps beyond _SIGN_ENUM_LIMIT
+_CD_TOL = 1e-7         # stop when a sweep lowers the objective by less
 
 
 @dataclass(frozen=True)
 class SolverParams:
     lam: float = 0.1          # L1 weight; 0 gives pure cap-constrained matching
     max_nonzeros: int = 5     # hard support cap
-    max_iterations: int = 200
-    tolerance: float = 1e-7   # stop when the objective decrease falls below this
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.max_nonzeros < 1:
             raise ValueError("max_nonzeros must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -85,23 +83,23 @@ def _objective_gram(a, G, b, xx, lam):
     return 0.5 * xx - float(a @ b) + 0.5 * float(a @ G @ a) + lam * float(np.abs(a).sum())
 
 
-def _cd_gram(G, b, xx, lam, max_iter, tol):
+def _cd_gram(G, b, xx, lam):
     """Soft-thresholded coordinate descent on a fixed support, in Gram space."""
     s = b.size
     a = np.zeros(s)
     obj = 0.5 * xx
-    for _ in range(max_iter):
+    for _ in range(_CD_MAX_ITER):
         for j in range(s):
             rho = b[j] - float(G[j] @ a) + G[j, j] * a[j]
             a[j] = np.sign(rho) * max(abs(rho) - lam, 0.0) / G[j, j]
         new_obj = _objective_gram(a, G, b, xx, lam)
-        if obj - new_obj < tol:
+        if obj - new_obj < _CD_TOL:
             break
         obj = new_obj
     return a
 
 
-def _solve_support(Ds, x, lam, params):
+def _solve_support(Ds, x, lam):
     """Exact minimizer of the L1 subproblem restricted to the atoms in Ds.
 
     lam = 0 is plain least squares.  Otherwise all sign patterns s of the
@@ -120,7 +118,7 @@ def _solve_support(Ds, x, lam, params):
     G = Ds.T @ Ds
     b = Ds.T @ x
     if size > _SIGN_ENUM_LIMIT:
-        a = _cd_gram(G, b, xx, lam, params.max_iterations, params.tolerance)
+        a = _cd_gram(G, b, xx, lam)
         r = x - Ds @ a
         return a, 0.5 * float(r @ r) + lam * float(np.abs(a).sum())
     signs = _sign_patterns(size)
@@ -159,7 +157,7 @@ def _enumerate_supports(x, mat, cap, params, trace):
         trace.append(best_obj)
     for size in range(1, cap + 1):
         for support in combinations(range(n_atoms), size):
-            a, obj = _solve_support(mat[:, support], x, params.lam, params)
+            a, obj = _solve_support(mat[:, support], x, params.lam)
             if obj < best_obj - 1e-15:
                 best_obj, best_support, best_a = obj, support, a
                 if trace is not None:
@@ -186,7 +184,7 @@ def _greedy(x, mat, cap, params, trace):
         if abs(corr[j]) <= params.lam + 1e-15:
             break  # the soft threshold would zero the new atom
         trial = support + [j]
-        a_new, obj = _solve_support(mat[:, trial], x, params.lam, params)
+        a_new, obj = _solve_support(mat[:, trial], x, params.lam)
         if obj >= best_obj - 1e-15:
             break
         support, a, best_obj = trial, a_new, obj

@@ -122,7 +122,3 @@ PRESETS: dict[str, SceneSpec] = {
         target_fill=0.8, noise_sigma=0.01, seed=2026, placement="scattered",
     ),
 }
-
-
-def preset_scenes() -> list[SceneSpec]:
-    return list(PRESETS.values())

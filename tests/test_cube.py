@@ -81,6 +81,15 @@ class TestCubeIO:
         with pytest.raises(FileNotFoundError):
             h.load_cube(str(hdr))
 
+    def test_header_errors_name_the_file(self, tmp_path):
+        hdr = tmp_path / "c.hdr"
+        hdr.write_text("width: 2\nheight 2\n")
+        with pytest.raises(FormatError, match=r"c\.hdr:2: bad header line: 'height 2'"):
+            h.load_cube(str(hdr))
+        hdr.write_text("width: 2\nbands: 1\ndtype: float32\ninterleave: bsq\n")
+        with pytest.raises(FormatError, match=r"c\.hdr: header missing field 'height'"):
+            h.load_cube(str(hdr))
+
     def test_nan_in_raw_rejected(self, tmp_path):
         hdr = tmp_path / "c.hdr"
         hdr.write_text("width: 2\nheight: 1\nbands: 1\ndtype: float32\ninterleave: bsq\n")
@@ -181,3 +190,13 @@ class TestDictionaryIO:
         sig = np.random.default_rng(4).random(9)
         h.save_signature(sig, str(tmp_path / "sig.csv"))
         assert np.array_equal(sig, h.load_signature(str(tmp_path / "sig.csv")))
+
+    def test_unparsable_signature_line_names_file_and_line(self, tmp_path):
+        (tmp_path / "sig.csv").write_text("0.1\n\nabc\n")
+        with pytest.raises(FormatError, match=r"sig\.csv:3: bad band value 'abc'"):
+            h.load_signature(str(tmp_path / "sig.csv"))
+
+    def test_non_finite_signature_value_names_file_and_line(self, tmp_path):
+        (tmp_path / "sig.csv").write_text("0.1\nnan\n")
+        with pytest.raises(FormatError, match=r"sig\.csv:2: non-finite band value 'nan'"):
+            h.load_signature(str(tmp_path / "sig.csv"))

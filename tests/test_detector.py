@@ -187,22 +187,6 @@ class TestResidualMaps:
                     r_b.values[y, x] - oracle_residual(spec, bg_provider(x, y), 0.1, 2)
                 ) < 1e-6
 
-    def test_thread_count_does_not_change_result(self):
-        rng = np.random.default_rng(6)
-        cube = h.HsiCube(rng.random((4, 8, 8)) + 0.1)
-        D_t = h.normalize_atoms(h.Dictionary(rng.normal(size=(4, 3))))
-        D_g = h.normalize_atoms(h.Dictionary(rng.normal(size=(4, 5))))
-        window = h.WindowSpec(3, 1)
-
-        def bg_provider(x, y):
-            return h.build_hierarchical(D_g, h.local_background(cube, x, y, window))
-
-        params = h.SolverParams(lam=0.1, max_nonzeros=3)
-        a = h.residual_maps(cube, D_t, bg_provider, params, threads=1)
-        b = h.residual_maps(cube, D_t, bg_provider, params, threads=8)
-        assert np.array_equal(a[0].values, b[0].values)
-        assert np.array_equal(a[1].values, b[1].values)
-
     def test_band_mismatch_rejected(self):
         cube = h.HsiCube(np.ones((3, 2, 2)))
         D_t = h.Dictionary(np.eye(4))

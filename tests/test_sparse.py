@@ -8,28 +8,35 @@ import pytest
 from scipy.optimize import minimize
 
 import hsidet as h
-from hsidet.sparse import _ENUM_LIMIT, _enumerate_supports
+import hsidet.sparse as hsparse
+from hsidet.sparse import _ENUM_LIMIT, _SIGN_ENUM_LIMIT, _enumerate_supports
+
+
+def support_optimum(x, Ds, lam):
+    """Best L1 objective with every coefficient restricted to the columns of
+    Ds, by bound-constrained L-BFGS on a sign split a = z+ - z-."""
+    size = Ds.shape[1]
+
+    def f(z):
+        a = z[:size] - z[size:]
+        r = x - Ds @ a
+        return 0.5 * float(r @ r) + lam * float(z.sum())
+
+    res = minimize(
+        f, np.zeros(2 * size), method="L-BFGS-B",
+        bounds=[(0, None)] * 2 * size,
+        options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500},
+    )
+    return res.fun
 
 
 def exhaustive_oracle(x, D, lam, k):
     """Best capped-support L1 objective by enumerating every support and
-    solving each subproblem with bound-constrained L-BFGS on a sign split."""
+    solving each subproblem with ``support_optimum``."""
     best = 0.5 * float(x @ x)
     for size in range(1, k + 1):
         for support in itertools.combinations(range(D.shape[1]), size):
-            Ds = D[:, support]
-
-            def f(z, Ds=Ds, size=size):
-                a = z[:size] - z[size:]
-                r = x - Ds @ a
-                return 0.5 * float(r @ r) + lam * float(z.sum())
-
-            res = minimize(
-                f, np.zeros(2 * size), method="L-BFGS-B",
-                bounds=[(0, None)] * 2 * size,
-                options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500},
-            )
-            best = min(best, res.fun)
+            best = min(best, support_optimum(x, D[:, support], lam))
     return best
 
 
@@ -194,6 +201,35 @@ class TestGreedyGapOracle:
         assert exact >= 0.1
         assert np.median(gaps) <= 2e-3
         assert gaps.max() <= 0.01
+
+
+class TestCoordinateDescentFallback:
+    def test_large_supports_reach_the_support_optimum(self, monkeypatch):
+        # Supports beyond _SIGN_ENUM_LIMIT atoms are solved by coordinate
+        # descent; a user reaches them with a sparsity cap of 13 or more.
+        calls = []
+        cd_gram = hsparse._cd_gram
+
+        def counting(*args):
+            calls.append(args)
+            return cd_gram(*args)
+
+        monkeypatch.setattr(hsparse, "_cd_gram", counting)
+        rng = np.random.default_rng(14)
+        params = h.SolverParams(lam=0.01, max_nonzeros=14)
+        worst, sizes = -np.inf, []
+        for _ in range(20):
+            D = random_dictionary(rng, 40, 30)
+            x = rng.normal(size=40)
+            n_calls = len(calls)
+            code = h.sparse_code(x, h.Dictionary(D), params)
+            assert len(calls) > n_calls
+            sizes.append(code.indices.size)
+            obj = solver_objective(x, D, code, params.lam)
+            worst = max(worst, obj - support_optimum(x, D[:, code.indices], params.lam))
+        print(f"supports {min(sizes)}-{max(sizes)} atoms, worst gap {worst:.2g}")
+        assert max(sizes) > _SIGN_ENUM_LIMIT
+        assert worst <= 1e-6
 
 
 class TestResidualNorm:
