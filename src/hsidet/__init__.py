@@ -16,6 +16,8 @@ from .cube import (
     save_signature,
 )
 from .detector import (
+    Fit,
+    detect,
     fuse_scores,
     hierarchical_residuals,
     normalize_scores,

@@ -20,38 +20,13 @@ import sys
 
 from . import cube as hio
 from .config import DetectorConfig, preset_config
-from .detector import (
-    fuse_scores,
-    hierarchical_residuals,
-    normalize_scores,
-    orient_scores,
-    shr_detect,
-    std_detect,
-    wshr_detect,
-)
+from .detector import METHODS, detect
 from .hierdict import WindowSpec
 from .metrics import compare as compare_maps
 from .metrics import write_comparison
-from .predetect import ace_detect, cem_detect
 from .synth import PRESETS, generate
 
 log = logging.getLogger("hsidet")
-
-METHODS = ("cem", "ace", "std", "shr", "wshr")
-
-
-def _run_method(method: str, cube, signature, config: DetectorConfig):
-    if method == "cem":
-        return cem_detect(cube, signature)
-    if method == "ace":
-        return ace_detect(cube, signature)
-    if method == "std":
-        return std_detect(cube, signature, config)
-    if method == "shr":
-        return shr_detect(cube, signature, config)
-    if method == "wshr":
-        return wshr_detect(cube, signature, config)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -127,7 +102,7 @@ def cmd_detect(args) -> int:
     cube = hio.load_cube(args.cube)
     signature = hio.load_signature(args.signature)
     config = _config_from_args(args, DetectorConfig())
-    smap = _run_method(args.method, cube, signature, config)
+    smap = detect(cube, signature, config, [args.method])[args.method]
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, args.method)
     hio.save_scoremap(smap, base)
@@ -141,15 +116,22 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    truth = hio.load_mask(args.mask)
-    named = []
+    # Each name becomes an auc.csv field and a roc_<name>.csv file name, so
+    # names are checked before any map is read or any file is written.
+    paths = {}
     for entry in args.scores:
         if "=" in entry:
             name, path = entry.split("=", 1)
         else:
             name = os.path.splitext(os.path.basename(entry))[0]
             path = entry
-        named.append((name, hio.load_scoremap(path)))
+        if not name or "," in name or "/" in name:
+            raise ValueError(f"score map name {name!r} is empty or contains ',' or '/'")
+        if name in paths:
+            raise ValueError(f"score map name {name!r} is given more than once")
+        paths[name] = path
+    truth = hio.load_mask(args.mask)
+    named = [(name, hio.load_scoremap(path)) for name, path in paths.items()]
     rows = compare_maps(named, truth)
     write_comparison(rows, args.out)
     for name, value, _ in rows:
@@ -178,24 +160,11 @@ def cmd_compare(args) -> int:
         base_config = DetectorConfig()
     config = _config_from_args(args, base_config)
 
-    # shr and wshr share everything up to the residual maps; when both are
-    # requested, run that stage once and fuse twice.
-    shared = {}
-    if "shr" in methods and "wshr" in methods:
-        r_t, r_b = hierarchical_residuals(cube, signature, config)
-        S_t, S_b = normalize_scores(r_t, r_b)
-        S_t, S_b = orient_scores(S_t, S_b, config.orientation)
-        shared["wshr"] = fuse_scores(S_t, S_b, config.gamma)
-        shared["shr"] = fuse_scores(S_t, S_b, 0.5)
-    named = []
-    for m in methods:
-        log.info("running %s", m)
-        smap = shared.get(m)
-        if smap is None:
-            smap = _run_method(m, cube, signature, config)
+    log.info("running %s", ",".join(methods))
+    maps = detect(cube, signature, config, methods)
+    for m, smap in maps.items():
         hio.save_scoremap(smap, os.path.join(out, m))
-        named.append((m, smap))
-    rows = compare_maps(named, mask)
+    rows = compare_maps(list(maps.items()), mask)
     write_comparison(rows, out)
     _write_manifest(out, {
         "command": "compare", "preset": args.preset, "methods": methods,
@@ -256,8 +225,11 @@ def main(argv=None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compare" and not args.preset:
-        if not (args.cube and args.signature and args.mask):
+    if args.command == "compare":
+        files = (args.cube, args.signature, args.mask)
+        if args.preset and any(files):
+            parser.error("compare takes --preset or --cube/--signature/--mask, not both")
+        if not args.preset and not all(files):
             parser.error("compare requires --preset or --cube/--signature/--mask")
     try:
         return args.func(args)

@@ -11,13 +11,15 @@ receive high fused scores (see ``config.ORIENTATIONS``).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from . import predetect
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
-from .dictlearn import learn_global_dictionaries, learn_target_dictionary
+from .dictlearn import DictionaryFit, learn_global_dictionaries
 from .hierdict import build_hierarchical, local_background
 from .sparse import SolverParams, residual_norm, sparse_code
 
@@ -107,47 +109,52 @@ def fuse_scores(S_t: ScoreMap, S_b: ScoreMap, gamma: float) -> ScoreMap:
     return ScoreMap((1.0 - gamma) * S_t.values + gamma * S_b.values)
 
 
+class Fit(DictionaryFit):
+    """One cube's pipeline: the stages of ``DictionaryFit``, then the target
+    and hierarchical-background residual maps, each computed at most once."""
+
+    @cached_property
+    def residuals(self) -> tuple[ScoreMap, ScoreMap]:
+        cube, D_t, D_b_global, config = self.cube, self.D_t, self.D_b, self.config
+
+        def bg_provider(x: int, y: int) -> Dictionary:
+            local = local_background(cube, x, y, config.window)
+            return build_hierarchical(D_b_global, local)
+
+        params = SolverParams(lam=config.lam, max_nonzeros=config.k)
+        return residual_maps(cube, D_t, bg_provider, params)
+
+
 def hierarchical_residuals(
     cube: HsiCube,
     d: np.ndarray,
     config: DetectorConfig,
 ) -> tuple[ScoreMap, ScoreMap]:
-    """Run the pipeline up to the residual maps: pre-detection, global
-    dictionary learning, and per-pixel hierarchical coding."""
-    D_t, D_b_global = learn_global_dictionaries(cube, d, config)
-    params = SolverParams(lam=config.lam, max_nonzeros=config.k)
-
-    def bg_provider(x: int, y: int) -> Dictionary:
-        local = local_background(cube, x, y, config.window)
-        return build_hierarchical(D_b_global, local)
-
-    return residual_maps(cube, D_t, bg_provider, params)
+    """Run the pipeline up to the residual maps: ``learn_global_dictionaries``
+    (pre-detection, both dictionaries), then ``Fit.residuals``."""
+    fit = Fit(cube, d, config)
+    fit.D_t, fit.D_b = learn_global_dictionaries(cube, d, config)
+    return fit.residuals
 
 
-def _fused_detect(cube, d, config: DetectorConfig, gamma: float) -> ScoreMap:
-    r_t, r_b = hierarchical_residuals(cube, d, config)
-    S_t, S_b = normalize_scores(r_t, r_b)
+def _fuse(residuals, config: DetectorConfig, gamma: float) -> ScoreMap:
+    S_t, S_b = normalize_scores(*residuals)
     S_t, S_b = orient_scores(S_t, S_b, config.orientation)
     return fuse_scores(S_t, S_b, gamma)
 
 
 def wshr_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:
     """Full weighted hierarchical sparse-representation detector."""
-    return _fused_detect(cube, d, config, config.gamma)
+    return _fuse(hierarchical_residuals(cube, d, config), config, config.gamma)
 
 
 def shr_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:
     """Unweighted ablation: identical pipeline fused with gamma = 0.5."""
-    return _fused_detect(cube, d, config, 0.5)
+    return _fuse(hierarchical_residuals(cube, d, config), config, 0.5)
 
 
-def std_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:
-    """Sparse-representation baseline: each pixel is coded jointly against
-    [target atoms, local window atoms] and scored by the difference of
-    class-wise residuals r_b - r_t of the joint code.  Only the target
-    dictionary is learned: the joint dictionary has no global background
-    part."""
-    D_t = learn_target_dictionary(cube, d, config)
+def _std(fit: Fit) -> ScoreMap:
+    cube, D_t, config = fit.cube, fit.D_t, fit.config
     params = SolverParams(lam=config.lam, max_nonzeros=config.k)
     n_t = D_t.n_atoms
 
@@ -160,3 +167,29 @@ def std_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap
         return float(np.linalg.norm(spec - rec_b) - np.linalg.norm(spec - rec_t))
 
     return ScoreMap(_score_pixels(cube, score, 1)[0])
+
+
+def std_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:
+    """Sparse-representation baseline: each pixel is coded jointly against
+    [target atoms, local window atoms] and scored by the difference of
+    class-wise residuals r_b - r_t of the joint code.  Only the target
+    dictionary is learned: the joint dictionary has no global background
+    part."""
+    return _std(Fit(cube, d, config))
+
+
+METHODS: dict[str, Callable[[Fit], ScoreMap]] = {
+    "cem": lambda fit: fit.cem,
+    "ace": lambda fit: predetect.ace_detect(fit.cube, fit.d),
+    "std": _std,
+    "shr": lambda fit: _fuse(fit.residuals, fit.config, 0.5),
+    "wshr": lambda fit: _fuse(fit.residuals, fit.config, fit.config.gamma),
+}
+
+
+def detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig,
+           methods: list[str]) -> dict[str, ScoreMap]:
+    """Score maps of the named ``METHODS``, in the order given, all from one
+    ``Fit``: CEM runs once and each dictionary is learned at most once."""
+    fit = Fit(cube, d, config)
+    return {m: METHODS[m](fit) for m in methods}

@@ -14,11 +14,12 @@ The surrogate objective tracked per epoch is the running average of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import DetectorConfig
-from .cube import Dictionary, HsiCube
+from .cube import Dictionary, HsiCube, ScoreMap
 from .predetect import cem_detect, select_training_sets
 from .sparse import SolverParams, sparse_code
 
@@ -147,31 +148,35 @@ def odl_learn(
     return Dictionary(D)
 
 
-def _odl_params(config: DetectorConfig, n_atoms: int, seed: int) -> OdlParams:
-    return OdlParams(
-        n_atoms=n_atoms,
-        lam=config.lam,
-        epochs=config.odl_epochs,
-        batch_size=config.odl_batch_size,
-        sparsity=config.k,
-        seed=seed,
-    )
+class DictionaryFit:
+    """One cube's learning stages, each run on first use and kept: the CEM
+    map, the training sets it selects, the target dictionary ``D_t`` and the
+    global background dictionary ``D_b`` (never learned if unread)."""
 
+    def __init__(self, cube: HsiCube, d: np.ndarray, config: DetectorConfig):
+        self.cube, self.d, self.config = cube, d, config
 
-def _training_sets(cube: HsiCube, d: np.ndarray, config: DetectorConfig):
-    scores = cem_detect(cube, d)
-    return select_training_sets(scores, cube, config.n_target_train, config.bg_fraction)
+    @cached_property
+    def cem(self) -> ScoreMap:
+        return cem_detect(self.cube, self.d)
 
+    @cached_property
+    def training_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        c = self.config
+        return select_training_sets(self.cem, self.cube, c.n_target_train, c.bg_fraction)
 
-def learn_target_dictionary(
-    cube: HsiCube,
-    d: np.ndarray,
-    config: DetectorConfig,
-) -> Dictionary:
-    """Pre-detect with CEM and learn the target dictionary alone; it equals
-    the first dictionary ``learn_global_dictionaries`` returns."""
-    target_samples, _ = _training_sets(cube, d, config)
-    return odl_learn(target_samples, _odl_params(config, config.n_target_atoms, config.seed))
+    @cached_property
+    def D_t(self) -> Dictionary:
+        return self._learn(self.training_sets[0], self.config.n_target_atoms, self.config.seed)
+
+    @cached_property
+    def D_b(self) -> Dictionary:
+        return self._learn(self.training_sets[1], self.config.n_bg_atoms, self.config.seed + 1)
+
+    def _learn(self, samples: np.ndarray, n_atoms: int, seed: int) -> Dictionary:
+        c = self.config
+        return odl_learn(samples, OdlParams(n_atoms=n_atoms, lam=c.lam, epochs=c.odl_epochs,
+                                            batch_size=c.odl_batch_size, sparsity=c.k, seed=seed))
 
 
 def learn_global_dictionaries(
@@ -183,7 +188,5 @@ def learn_global_dictionaries(
 
     Returns (target_dictionary, global_background_dictionary).
     """
-    target_samples, bg_samples = _training_sets(cube, d, config)
-    D_t = odl_learn(target_samples, _odl_params(config, config.n_target_atoms, config.seed))
-    D_b_global = odl_learn(bg_samples, _odl_params(config, config.n_bg_atoms, config.seed + 1))
-    return D_t, D_b_global
+    fit = DictionaryFit(cube, d, config)
+    return fit.D_t, fit.D_b

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hsidet as h
+from hsidet import dictlearn, predetect
 from hsidet.cli import main
 
 
@@ -32,6 +33,21 @@ def write_tiny_scene(out_dir, seed=0):
     h.save_mask(mask, paths["mask"])
     h.save_signature(sig, paths["signature"])
     return paths
+
+
+def write_cem_map(paths, base):
+    cube = h.load_cube(paths["cube"])
+    h.save_scoremap(h.cem_detect(cube, h.load_signature(paths["signature"])), base)
+
+
+def count_calls(monkeypatch, calls, module, name):
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
 
 
 class TestSynthCommand:
@@ -114,6 +130,37 @@ class TestEvalCommand:
         assert (tmp_path / "eval" / "roc_cem.csv").exists()
 
 
+    @pytest.mark.parametrize("name", ["a,b", "a/b", ""])
+    def test_empty_name_or_name_with_separator_is_runtime_error(self, tmp_path, capsys, name):
+        paths = write_tiny_scene(str(tmp_path / "scene"))
+        write_cem_map(paths, str(tmp_path / "cem"))
+        out = tmp_path / "eval"
+        rc = main(["eval", "--scores", f"{name}={tmp_path / 'cem'}",
+                   "--mask", paths["mask"], "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: score map name {name!r}")
+        assert not out.exists()
+
+    def test_repeated_name_is_runtime_error(self, tmp_path, capsys):
+        paths = write_tiny_scene(str(tmp_path / "scene"))
+        for d in ("d1", "d2"):
+            os.makedirs(tmp_path / d)
+            write_cem_map(paths, str(tmp_path / d / "cem"))
+        out = tmp_path / "eval"
+        rc = main(["eval", "--scores", str(tmp_path / "d1" / "cem"),
+                   str(tmp_path / "d2" / "cem"), "--mask", paths["mask"], "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'cem' is given more than once" in err
+        assert not out.exists()
+
+    def test_names_are_checked_before_any_file_is_read(self, tmp_path, capsys):
+        rc = main(["eval", "--scores", f"a/b={tmp_path / 'none'}",
+                   "--mask", str(tmp_path / "none.mask"), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "score map name 'a/b'" in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_compare_on_files_runs_fast_methods(self, tmp_path, capsys):
         paths = write_tiny_scene(str(tmp_path / "scene"))
@@ -160,6 +207,43 @@ class TestCompareCommand:
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+    def test_compare_with_preset_and_files_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--preset", "sparse-targets", "--cube", str(tmp_path / "no.hdr"),
+                  "--signature", str(tmp_path / "no.sig"), "--mask", str(tmp_path / "no.mask"),
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+
+TINY_FLAGS = ["--owr", "5", "--iwr", "1", "--bg-atoms", "8", "--target-atoms", "3",
+              "--train-targets", "4", "--bg-fraction", "0.6"]
+
+
+class TestOneFitPerCube:
+    def test_five_method_compare_runs_cem_once_and_odl_twice(self, tmp_path, monkeypatch):
+        paths = write_tiny_scene(str(tmp_path / "scene"))
+        calls = []
+        count_calls(monkeypatch, calls, predetect, "cem_detect")
+        count_calls(monkeypatch, calls, dictlearn, "cem_detect")
+        count_calls(monkeypatch, calls, dictlearn, "odl_learn")
+        rc = main(["compare", "--cube", paths["cube"], "--signature", paths["signature"],
+                   "--mask", paths["mask"], "--methods", "cem,ace,std,shr,wshr",
+                   "--out", str(tmp_path / "cmp")] + TINY_FLAGS)
+        assert rc == 0
+        assert calls.count("cem_detect") == 1
+        assert calls.count("odl_learn") == 2
+
+    def test_std_detect_learns_one_dictionary(self, tmp_path, monkeypatch):
+        paths = write_tiny_scene(str(tmp_path / "scene"))
+        calls = []
+        count_calls(monkeypatch, calls, dictlearn, "odl_learn")
+        rc = main(["detect", "--method", "std", "--cube", paths["cube"],
+                   "--signature", paths["signature"], "--out", str(tmp_path / "det")]
+                  + TINY_FLAGS)
+        assert rc == 0
+        assert calls == ["odl_learn"]
 
 
 class TestUsageErrors:

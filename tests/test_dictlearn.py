@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hsidet as h
-from hsidet.dictlearn import learn_target_dictionary
+from hsidet import dictlearn
 
 
 def rank_one_samples(rng, n=30, bands=8):
@@ -213,7 +213,7 @@ class TestLearnGlobalDictionaries:
         assert np.array_equal(a[0].columns, b[0].columns)
         assert np.array_equal(a[1].columns, b[1].columns)
 
-    def test_target_dictionary_alone_equals_the_first_of_both(self):
+    def test_target_dictionary_alone_equals_the_first_of_both(self, monkeypatch):
         rng = np.random.default_rng(12)
         cube = h.HsiCube(rng.random((6, 10, 10)) + 0.1)
         d = rng.random(6) + 0.3
@@ -222,7 +222,17 @@ class TestLearnGlobalDictionaries:
             n_target_train=5, odl_epochs=2, seed=5,
         )
         D_t, _ = h.learn_global_dictionaries(cube, d, config)
-        assert np.array_equal(learn_target_dictionary(cube, d, config).columns, D_t.columns)
+        calls = []
+        learn = dictlearn.odl_learn
+
+        def counting(samples, params, *args, **kwargs):
+            calls.append(params.n_atoms)
+            return learn(samples, params, *args, **kwargs)
+
+        monkeypatch.setattr(dictlearn, "odl_learn", counting)
+        fit = h.Fit(cube, d, config)
+        assert fit.D_t.columns.tobytes() == D_t.columns.tobytes()
+        assert calls == [config.n_target_atoms]  # D_b was never learned
 
     def test_default_atom_counts(self):
         config = h.DetectorConfig()
