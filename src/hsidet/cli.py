@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 from . import cube as hio
 from .config import DetectorConfig, preset_config
@@ -30,38 +31,31 @@ log = logging.getLogger("hsidet")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    # Each dest is a DetectorConfig field name, except owr/iwr (its window).
     p.add_argument("--lambda", dest="lam", type=float, help="L1 weight (default 0.1)")
-    p.add_argument("--sparsity", type=int, help="sparsity cap k (default 5)")
+    p.add_argument("--sparsity", dest="k", type=int, help="sparsity cap k (default 5)")
     p.add_argument("--gamma", type=float, help="background-score weight (default 0.3)")
     p.add_argument("--owr", type=int, help="outer window side (odd)")
     p.add_argument("--iwr", type=int, help="inner window side (odd)")
-    p.add_argument("--target-atoms", type=int, help="global target dictionary atoms")
-    p.add_argument("--bg-atoms", type=int, help="global background dictionary atoms")
-    p.add_argument("--train-targets", type=int, help="target training sample count")
+    p.add_argument("--target-atoms", dest="n_target_atoms", type=int,
+                   help="global target dictionary atoms")
+    p.add_argument("--bg-atoms", dest="n_bg_atoms", type=int,
+                   help="global background dictionary atoms")
+    p.add_argument("--train-targets", dest="n_target_train", type=int,
+                   help="target training sample count")
     p.add_argument("--bg-fraction", type=float, help="background training fraction")
     p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--threads", type=int,
                    help="accepted (>= 1) but unused: changes neither the work nor the output")
-    p.add_argument("--orientation", choices=("flip_target", "flip_both", "literal"))
 
 
 def _config_from_args(args, base: DetectorConfig) -> DetectorConfig:
-    overrides = {}
-    for flag, field in (
-        ("lam", "lam"), ("sparsity", "k"), ("gamma", "gamma"),
-        ("target_atoms", "n_target_atoms"), ("bg_atoms", "n_bg_atoms"),
-        ("train_targets", "n_target_train"), ("bg_fraction", "bg_fraction"),
-        ("seed", "seed"), ("threads", "threads"), ("orientation", "orientation"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    owr = getattr(args, "owr", None)
-    iwr = getattr(args, "iwr", None)
-    if owr is not None or iwr is not None:
+    overrides = {f.name: getattr(args, f.name) for f in fields(base)
+                 if getattr(args, f.name, None) is not None}
+    if args.owr is not None or args.iwr is not None:
         overrides["window"] = WindowSpec(
-            owr if owr is not None else base.window.outer,
-            iwr if iwr is not None else base.window.inner,
+            base.window.outer if args.owr is None else args.owr,
+            base.window.inner if args.iwr is None else args.iwr,
         )
     return base.with_overrides(**overrides)
 
@@ -99,9 +93,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    config = _config_from_args(args, DetectorConfig())
     cube = hio.load_cube(args.cube)
     signature = hio.load_signature(args.signature)
-    config = _config_from_args(args, DetectorConfig())
     smap = detect(cube, signature, config, [args.method])[args.method]
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, args.method)
@@ -140,25 +134,27 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # Methods and config are checked before anything is written.
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError(f"no method given (choose from {','.join(METHODS)})")
     for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r} (choose from {','.join(METHODS)})")
         if m in methods[:i]:
             raise ValueError(f"method {m!r} is listed more than once")
+    config = _config_from_args(
+        args, preset_config(args.preset) if args.preset else DetectorConfig())
     out = args.out
     os.makedirs(out, exist_ok=True)
     if args.preset:
         cube, mask, signature = generate(PRESETS[args.preset])
         scene_paths = _write_scene(out, cube, mask, signature)
-        base_config = preset_config(args.preset)
     else:
         cube = hio.load_cube(args.cube)
         mask = hio.load_mask(args.mask)
         signature = hio.load_signature(args.signature)
         scene_paths = {"cube": args.cube, "mask": args.mask, "signature": args.signature}
-        base_config = DetectorConfig()
-    config = _config_from_args(args, base_config)
 
     log.info("running %s", ",".join(methods))
     maps = detect(cube, signature, config, methods)

@@ -9,18 +9,13 @@ the synthetic scenes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from .hierdict import WindowSpec
 
-# How min-max normalized residual scores are oriented before fusion.  The
-# raw min-max forms score well-reconstructed pixels LOW on both sides, so a
-# fused target score needs both flipped ("flip_both", the default: low r_t
-# and high r_b both push the score up).  "flip_target" flips only the
-# target side; "literal" leaves both raw.  All three are exposed for
-# orientation experiments on synthetic scenes.
-ORIENTATIONS = ("flip_target", "flip_both", "literal")
+_COUNTS = ("k", "n_target_atoms", "n_bg_atoms", "n_target_train", "odl_epochs", "threads")
 
 
 @dataclass(frozen=True)
@@ -35,38 +30,34 @@ class DetectorConfig:
     bg_fraction: float = 0.8
     seed: int = 0
     odl_epochs: int = 5
-    odl_batch_size: int = 32
-    orientation: str = "flip_both"
     threads: int = 1              # accepted for compatibility; changes no work or output
 
+    # How min-max normalized residual scores are oriented before fusion (a
+    # class constant, not a setting).  The raw min-max forms score
+    # well-reconstructed pixels LOW on both sides, so a fused target score
+    # needs both flipped: low r_t and high r_b both push the score up.
+    orientation = "flip_both"
+
     def __post_init__(self):
+        for name in _COUNTS:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be finite and >= 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if not 0.0 < self.bg_fraction < 1.0:
+            raise ValueError("bg_fraction must lie in (0, 1)")
 
     def with_overrides(self, **kwargs: Any) -> "DetectorConfig":
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "k": self.k,
-            "gamma": self.gamma,
-            "owr": self.window.outer,
-            "iwr": self.window.inner,
-            "n_target_atoms": self.n_target_atoms,
-            "n_bg_atoms": self.n_bg_atoms,
-            "n_target_train": self.n_target_train,
-            "bg_fraction": self.bg_fraction,
-            "seed": self.seed,
-            "odl_epochs": self.odl_epochs,
-            "odl_batch_size": self.odl_batch_size,
-            "orientation": self.orientation,
-            "threads": self.threads,
-        }
+        """Every field by name, with ``window`` written as ``owr``/``iwr``."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "window"}
+        return {**values, "owr": self.window.outer, "iwr": self.window.inner}
 
 
 def preset_config(preset: str) -> DetectorConfig:

@@ -5,8 +5,8 @@ The residual of a pixel against the target dictionary and against its
 per-pixel hierarchical background dictionary are min-max normalized over
 the image and combined as S = (1 - gamma) * S_t + gamma * S_b.  The raw
 min-max forms give LOW values to well-reconstructed pixels on both sides;
-the default orientation flips the target-side score so that target pixels
-receive high fused scores (see ``config.ORIENTATIONS``).
+``DetectorConfig.orientation`` flips both before fusion so that target
+pixels receive high fused scores.
 """
 
 from __future__ import annotations

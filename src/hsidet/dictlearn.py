@@ -81,7 +81,7 @@ def odl_learn(
     """Learn a unit-norm dictionary from spectra; deterministic given the seed.
 
     If ``objective_trace`` is a list it receives the mean surrogate objective
-    of each epoch.
+    of each epoch; the objective is only computed then.
     """
     X = _as_sample_matrix(samples)
     n, m = X.shape
@@ -98,23 +98,20 @@ def odl_learn(
         order = rng.permutation(n)
         epoch_obj = 0.0
         for start in range(0, n, params.batch_size):
-            batch = order[start:start + params.batch_size]
-            codes = []
             frozen = Dictionary(D)  # D only changes after the whole batch is coded
-            for i in batch:
+            for i in order[start:start + params.batch_size]:
                 x = X[i]
                 code = sparse_code(x, frozen, solver)
-                a = code.dense()
-                codes.append((x, code))
-                r = x - D @ a
-                epoch_obj += 0.5 * float(r @ r) + params.lam * float(np.abs(a).sum())
-                used[code.indices] = True
-            # Only the code's support moves A and B: the dense outer products
-            # add exact zeros everywhere else.
-            for x, code in codes:
                 idx, c = code.indices, code.coefficients
+                used[idx] = True
+                # Only the code's support moves A and B: the dense outer
+                # products add exact zeros everywhere else.
                 A[np.ix_(idx, idx)] += np.outer(c, c)
                 B[:, idx] += np.outer(x, c)
+                if objective_trace is not None:
+                    a = code.dense()
+                    r = x - D @ a
+                    epoch_obj += 0.5 * float(r @ r) + params.lam * float(np.abs(a).sum())
             # Block coordinate descent over atoms on the accumulated statistics.
             for j in range(k):
                 if A[j, j] <= 1e-12:
@@ -176,7 +173,7 @@ class DictionaryFit:
     def _learn(self, samples: np.ndarray, n_atoms: int, seed: int) -> Dictionary:
         c = self.config
         return odl_learn(samples, OdlParams(n_atoms=n_atoms, lam=c.lam, epochs=c.odl_epochs,
-                                            batch_size=c.odl_batch_size, sparsity=c.k, seed=seed))
+                                            sparsity=c.k, seed=seed))
 
 
 def learn_global_dictionaries(

@@ -97,10 +97,9 @@ def compare(
 def write_comparison(
     rows: list[tuple[str, float, RocCurve]],
     out_dir: str,
-    svg: bool = True,
 ) -> None:
-    """Emit ``auc.csv``, one ``roc_<name>.csv`` per method, and an optional
-    ``roc.svg`` overlay plot."""
+    """Emit ``auc.csv``, one ``roc_<name>.csv`` per method, and a ``roc.svg``
+    overlay plot."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "auc.csv"), "w", encoding="ascii") as fh:
         fh.write("method,auc\n")
@@ -111,8 +110,7 @@ def write_comparison(
             fh.write("threshold,far,pd\n")
             for thr, x, y in zip(curve.thresholds, curve.far, curve.pd):
                 fh.write(f"{float(thr)!r},{float(x)!r},{float(y)!r}\n")
-    if svg:
-        _write_svg(rows, os.path.join(out_dir, "roc.svg"))
+    _write_svg(rows, os.path.join(out_dir, "roc.svg"))
 
 
 _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -34,8 +34,8 @@ class SolverParams:
     max_nonzeros: int = 5     # hard support cap
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not (isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be finite and >= 0")
         if self.max_nonzeros < 1:
             raise ValueError("max_nonzeros must be >= 1")
 

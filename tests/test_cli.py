@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, outputs, manifests, determinism."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -10,7 +12,7 @@ import pytest
 
 import hsidet as h
 from hsidet import dictlearn, predetect
-from hsidet.cli import main
+from hsidet.cli import _add_config_flags, _config_from_args, build_parser, main
 
 
 def sha(path):
@@ -203,6 +205,36 @@ class TestCompareCommand:
         assert err.startswith("error: ") and "'cem'" in err
         assert not (out / "auc.csv").exists()
 
+    @pytest.mark.parametrize("methods", [",", ""])
+    def test_empty_method_list_is_runtime_error(self, tmp_path, capsys, methods):
+        out = tmp_path / "o"
+        rc = main(["compare", "--preset", "sparse-targets", "--methods", methods,
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: no method given")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--sparsity", "0", "k"),
+        ("--bg-atoms", "0", "n_bg_atoms"),
+        ("--target-atoms", "0", "n_target_atoms"),
+        ("--train-targets", "0", "n_target_train"),
+        ("--threads", "0", "threads"),
+        ("--seed", "-1", "seed"),
+        ("--lambda", "-1", "lam"),
+        ("--lambda", "nan", "lam"),
+        ("--lambda", "inf", "lam"),
+        ("--bg-fraction", "1", "bg_fraction"),
+    ])
+    def test_bad_config_flag_fails_before_anything_is_written(
+            self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "o"
+        rc = main(["compare", "--preset", "sparse-targets", "--methods", "cem",
+                   "--out", str(out), flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must")
+        assert not out.exists()
+
     def test_compare_without_inputs_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--out", str(tmp_path / "o")])
@@ -244,6 +276,40 @@ class TestOneFitPerCube:
                   + TINY_FLAGS)
         assert rc == 0
         assert calls == ["odl_learn"]
+
+
+def config_flags():
+    parser = argparse.ArgumentParser()
+    _add_config_flags(parser)
+    return [a for a in parser._actions if a.dest != "help"]
+
+
+def setting(config, dest):
+    window = {"owr": config.window.outer, "iwr": config.window.inner}
+    return window[dest] if dest in window else getattr(config, dest)
+
+
+COMMANDS = {
+    "detect": ["detect", "--method", "cem", "--cube", "c", "--signature", "s", "--out", "o"],
+    "compare": ["compare", "--preset", "large", "--out", "o"],
+}
+
+
+class TestConfigFlags:
+    def test_every_dest_is_a_config_field_or_window_side(self):
+        names = {f.name for f in dataclasses.fields(h.DetectorConfig)}
+        for action in config_flags():
+            assert action.dest in names - {"window"} | {"owr", "iwr"}, action.dest
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("action", config_flags(), ids=lambda a: a.option_strings[0])
+    def test_non_default_value_reaches_its_field(self, command, action):
+        base = h.DetectorConfig()
+        value = 0.25 if action.type is float else setting(base, action.dest) + 2
+        assert value != setting(base, action.dest)
+        args = build_parser().parse_args(
+            COMMANDS[command] + [action.option_strings[0], str(value)])
+        assert setting(_config_from_args(args, base), action.dest) == value
 
 
 class TestUsageErrors:

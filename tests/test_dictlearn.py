@@ -137,6 +137,14 @@ class TestOdlLearn:
         assert len(trace) == 6
         assert trace[-1] <= trace[0] + 1e-9
 
+    def test_trace_does_not_change_the_atoms(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(40, 8))
+        params = h.OdlParams(n_atoms=6, epochs=3, batch_size=8, seed=2)
+        D = h.odl_learn(X, params)
+        D_traced = h.odl_learn(X, params, objective_trace=[])
+        assert D.columns.tobytes() == D_traced.columns.tobytes()
+
     def test_rank_one_data_recovers_direction(self):
         # all samples lie on one ray: a single atom must converge to +-u
         rng = np.random.default_rng(4)

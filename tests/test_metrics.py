@@ -152,7 +152,7 @@ class TestCompare:
         scores, labels = random_case(rng)
         smap, mask = as_maps(scores, labels, 8)
         rows = h.compare([("m", smap)], mask)
-        h.write_comparison(rows, str(tmp_path), svg=False)
+        h.write_comparison(rows, str(tmp_path))
         lines = (tmp_path / "roc_m.csv").read_text().splitlines()[1:]
         far = np.array([float(l.split(",")[1]) for l in lines])
         pd = np.array([float(l.split(",")[2]) for l in lines])

@@ -119,3 +119,25 @@ def test_cube_files_round_trip(data, interleave):
         back = h.load_cube(path)
     assert back.data.dtype == np.float64
     assert back.data.tobytes() == cube.data.tobytes()
+
+
+@st.composite
+def residual_pair(draw):
+    shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6))
+    residuals = arrays(np.float64, shape, elements=st.floats(0.0, 1e6))
+    return draw(residuals), draw(residuals)
+
+
+@PROPERTY
+@given(residual_pair(), st.floats(0.0, 1.0))
+def test_fused_scores_are_bounded_and_favour_target_like_pixels(residuals, gamma):
+    r_t, r_b = residuals
+    S_t, S_b = h.normalize_scores(h.ScoreMap(r_t), h.ScoreMap(r_b))
+    S_t, S_b = h.orient_scores(S_t, S_b, h.DetectorConfig.orientation)
+    fused = h.fuse_scores(S_t, S_b, gamma).values.ravel()
+    assert np.all((fused >= 0.0) & (fused <= 1.0))
+    # A pixel coded at least as well by the target dictionary and at most as
+    # well by its background dictionary as another never scores lower.
+    t, b = r_t.ravel(), r_b.ravel()
+    dominates = (t[:, None] <= t[None, :]) & (b[:, None] >= b[None, :])
+    assert np.all((fused[:, None] >= fused[None, :])[dominates])

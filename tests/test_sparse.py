@@ -260,6 +260,13 @@ class TestResidualNorm:
             h.residual_norm(D[:, 0], h.Dictionary(D), code)
 
 
+class TestSolverParams:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.1])
+    def test_nonfinite_or_negative_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            h.SolverParams(lam=lam)
+
+
 class TestSparseCodeType:
     def test_indices_must_increase(self):
         with pytest.raises(ValueError):
