@@ -31,7 +31,7 @@ from .dictlearn import OdlParams, init_dictionary, learn_global_dictionaries, od
 from .hierdict import WindowSpec, build_hierarchical, local_background, normalize_atoms
 from .metrics import RocCurve, auc, compare, roc, write_comparison
 from .predetect import ace_detect, cem_detect, select_training_sets
-from .sparse import SolverParams, SparseCode, residual_norm, sparse_code
+from .sparse import SolverParams, SparseCode, residual_norm, sparse_code, sparse_codes
 from .synth import PRESETS, SceneSpec, generate
 
 __version__ = "0.1.0"

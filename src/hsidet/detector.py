@@ -21,27 +21,18 @@ from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
 from .dictlearn import DictionaryFit, learn_global_dictionaries
 from .hierdict import build_hierarchical, local_background
-from .sparse import SolverParams, residual_norm, sparse_code
+from .sparse import SolverParams, residual_norm, sparse_code, sparse_codes
 
 BgProvider = Callable[[int, int], Dictionary]
 
 
-def _pixel_residual(x: np.ndarray, D: Dictionary, params: SolverParams) -> float:
-    return residual_norm(x, D, sparse_code(x, D, params))
-
-
-def _score_pixels(
-    cube: HsiCube,
-    score: Callable[[np.ndarray, int, int], object],
-    n_maps: int,
-) -> np.ndarray:
-    """Maps of shape (n_maps, height, width) holding ``score(spec, x, y)``,
-    which gives ``n_maps`` floats, for every pixel."""
-    out = np.empty((n_maps, cube.height, cube.width))
+def _score_pixels(cube: HsiCube, score: Callable[[np.ndarray, int, int], float]) -> ScoreMap:
+    """The map of ``score(spec, x, y)`` over every pixel."""
+    out = np.empty((cube.height, cube.width))
     for y in range(cube.height):
         for x in range(cube.width):
-            out[:, y, x] = score(cube.data[:, y, x], x, y)
-    return out
+            out[y, x] = score(cube.data[:, y, x], x, y)
+    return ScoreMap(out)
 
 
 def residual_maps(
@@ -54,13 +45,17 @@ def residual_maps(
     against its per-pixel hierarchical background dictionary."""
     if D_t.bands != cube.bands:
         raise ValueError("target dictionary bands do not match cube")
+    # Every pixel shares D_t, so its codes are stacked.  The rows are strided
+    # views of the cube like the per-pixel spectra, so BLAS rounds them alike.
+    pixels = cube.data.reshape(cube.bands, -1).T
+    codes = sparse_codes(pixels, D_t, params)
+    r_t = np.array([residual_norm(x, D_t, c) for x, c in zip(pixels, codes)])
 
-    def score(spec: np.ndarray, x: int, y: int) -> tuple[float, float]:
-        return (_pixel_residual(spec, D_t, params),
-                _pixel_residual(spec, bg_provider(x, y), params))
+    def score(spec: np.ndarray, x: int, y: int) -> float:
+        D_b = bg_provider(x, y)
+        return residual_norm(spec, D_b, sparse_code(spec, D_b, params))
 
-    r_t, r_b = _score_pixels(cube, score, 2)
-    return ScoreMap(r_t), ScoreMap(r_b)
+    return ScoreMap(r_t.reshape(cube.height, cube.width)), _score_pixels(cube, score)
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
@@ -166,7 +161,7 @@ def _std(fit: Fit) -> ScoreMap:
         rec_b = local.columns @ dense[n_t:]
         return float(np.linalg.norm(spec - rec_b) - np.linalg.norm(spec - rec_t))
 
-    return ScoreMap(_score_pixels(cube, score, 1)[0])
+    return _score_pixels(cube, score)
 
 
 def std_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:

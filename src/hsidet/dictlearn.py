@@ -13,6 +13,7 @@ The surrogate objective tracked per epoch is the running average of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,7 +22,7 @@ import numpy as np
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
 from .predetect import cem_detect, select_training_sets
-from .sparse import SolverParams, sparse_code
+from .sparse import SolverParams, sparse_codes
 
 _JITTER_SCALE = 0.01
 
@@ -73,6 +74,33 @@ def init_dictionary(samples, n_atoms: int, seed: int) -> Dictionary:
     return Dictionary(np.stack(cols, axis=1))
 
 
+def _update_atoms(D, A, B, coupled) -> None:
+    """One block-coordinate-descent pass over the atoms on the accumulated
+    statistics (Mairal et al. 2010, Alg. 2), each refreshed atom renormalized.
+
+    An atom that has never shared a code has a column of A that is zero off
+    the diagonal, so D @ A[:, j] is exactly D[:, j] * A[j, j] and its update
+    reads no other atom: all such atoms are refreshed in one vector step.
+    Coupled atoms read each other and are refreshed one at a time in index
+    order.  Norms are square roots of dot products of contiguous vectors,
+    as ``np.linalg.norm`` forms them.
+    """
+    diag = np.diagonal(A)
+    active = diag > 1e-12
+    single = np.flatnonzero(active & ~coupled)
+    if single.size:
+        a = diag[single]
+        U = np.ascontiguousarray((D[:, single] + (B[:, single] - D[:, single] * a) / a).T)
+        norms = np.sqrt((U[:, None, :] @ U[:, :, None])[:, 0, 0])
+        keep = norms > 0.0
+        D[:, single[keep]] = (U[keep] / norms[keep, None]).T
+    for j in np.flatnonzero(active & coupled):
+        u = D[:, j] + (B[:, j] - D @ A[:, j]) / A[j, j]
+        norm = math.sqrt(u @ u)
+        if norm > 0.0:
+            D[:, j] = u / norm
+
+
 def odl_learn(
     samples,
     params: OdlParams,
@@ -93,17 +121,21 @@ def odl_learn(
     A = np.zeros((k, k))
     B = np.zeros((m, k))
     used = np.zeros(k, dtype=bool)
+    coupled = np.zeros(k, dtype=bool)  # has shared a code with another atom
 
     for _ in range(params.epochs):
         order = rng.permutation(n)
         epoch_obj = 0.0
         for start in range(0, n, params.batch_size):
-            frozen = Dictionary(D)  # D only changes after the whole batch is coded
-            for i in order[start:start + params.batch_size]:
+            batch = order[start:start + params.batch_size]
+            # D only changes after the whole batch is coded.
+            codes = sparse_codes(X[batch], Dictionary(D), solver)
+            for i, code in zip(batch, codes):
                 x = X[i]
-                code = sparse_code(x, frozen, solver)
                 idx, c = code.indices, code.coefficients
                 used[idx] = True
+                if idx.size > 1:
+                    coupled[idx] = True
                 # Only the code's support moves A and B: the dense outer
                 # products add exact zeros everywhere else.
                 A[np.ix_(idx, idx)] += np.outer(c, c)
@@ -112,14 +144,7 @@ def odl_learn(
                     a = code.dense()
                     r = x - D @ a
                     epoch_obj += 0.5 * float(r @ r) + params.lam * float(np.abs(a).sum())
-            # Block coordinate descent over atoms on the accumulated statistics.
-            for j in range(k):
-                if A[j, j] <= 1e-12:
-                    continue
-                u = D[:, j] + (B[:, j] - D @ A[:, j]) / A[j, j]
-                norm = np.linalg.norm(u)
-                if norm > 0.0:
-                    D[:, j] = u / norm
+            _update_atoms(D, A, B, coupled)
         if objective_trace is not None:
             objective_trace.append(epoch_obj / n)
 
@@ -127,11 +152,8 @@ def odl_learn(
     if dead.size:
         # Replace dead atoms with the worst-reconstructed (largest-residual)
         # training samples, normalized.
-        residuals = np.empty(n)
-        frozen = Dictionary(D)
-        for i in range(n):
-            code = sparse_code(X[i], frozen, solver)
-            residuals[i] = np.linalg.norm(X[i] - D @ code.dense())
+        codes = sparse_codes(X, Dictionary(D), solver)
+        residuals = np.array([np.linalg.norm(x - D @ c.dense()) for x, c in zip(X, codes)])
         worst = np.argsort(-residuals)
         for pos, j in enumerate(dead):
             repl = X[worst[pos % n]]

@@ -100,6 +100,8 @@ def select_training_sets(
         raise ValueError("bg_fraction must be in (0, 1)")
     N = cube.n_pixels
     n_bg = int(np.floor(bg_fraction * N))
+    if n_bg == 0:
+        raise ValueError(f"bg_fraction {bg_fraction} selects no background pixels out of {N}")
     if n_target + n_bg > N:
         raise ValueError(
             f"requested {n_target} target + {n_bg} background samples from {N} pixels"

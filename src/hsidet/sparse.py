@@ -1,10 +1,13 @@
-"""L1-regularized, cardinality-capped sparse coding of a spectrum.
+"""L1-regularized, cardinality-capped sparse coding of spectra.
 
 Minimizes 0.5 * ||x - D a||^2 + lambda * ||a||_1 over coefficient vectors
 supported on at most ``max_nonzeros`` atoms.  Small dictionaries are solved
 exactly by sweeping every support; larger ones use greedy atom admission,
 as in the orthogonal matching pursuit of sparse-representation target
-detectors (Chen, Nasrabadi & Tran 2011).  Either way each fixed-support
+detectors (Chen, Nasrabadi & Tran 2011).  Spectra coded against one
+dictionary admit atoms together, as one stack of rows, in the manner of
+Batch-OMP (Rubinstein, Zibulevsky & Elad 2008); a single spectrum is a
+stack of one row.  Either way each fixed-support
 subproblem is solved exactly: for supports up to ``_SIGN_ENUM_LIMIT``
 atoms by enumerating sign patterns of the stationarity system, beyond that
 by soft-thresholded coordinate descent in Gram space.  Coefficient signs
@@ -26,6 +29,7 @@ _ENUM_LIMIT = 512      # max support count for the exact small-dictionary path
 _SIGN_ENUM_LIMIT = 12  # largest support solved by sign enumeration
 _CD_MAX_ITER = 200     # coordinate-descent sweeps beyond _SIGN_ENUM_LIMIT
 _CD_TOL = 1e-7         # stop when a sweep lowers the objective by less
+_STACK_ELEMENTS = 1 << 16  # target size of a stacked coding block, in doubles
 
 
 @dataclass(frozen=True)
@@ -99,47 +103,70 @@ def _cd_gram(G, b, xx, lam):
     return a
 
 
-def _solve_support(Ds, x, lam):
-    """Exact minimizer of the L1 subproblem restricted to the atoms in Ds.
+def _row_dots(X):
+    """Squared norm of each row of X, each as the BLAS dot ``x @ x`` gives it."""
+    return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
 
-    lam = 0 is plain least squares.  Otherwise all sign patterns s of the
-    stationarity system G a = Ds^T x - lam * s are solved in one batched
-    linear solve and the consistent pattern with the best objective wins.
-    Oversized supports fall back to coordinate descent.
 
-    Returns (coefficients, objective).
+def _columns(mat, supports):
+    """Stack of the (bands, size) column blocks ``mat[:, support]``, one per
+    row of the (n, size) index array ``supports``, each laid out in column
+    order as ``mat[:, support]`` is: BLAS rounding depends on the layout."""
+    return np.ascontiguousarray(mat.T[supports]).transpose(0, 2, 1)
+
+
+def _solve_support(Ds, X, xx, lam):
+    """Exact minimizers of a stack of L1 subproblems: row i of X (n, bands)
+    restricted to the atoms in Ds[i] (n, bands, size); xx holds the rows'
+    squared norms.
+
+    lam = 0 is plain least squares.  Otherwise all sign patterns s of each
+    row's stationarity system G a = Ds^T x - lam * s are solved in one
+    batched linear solve over the stack, and each row's consistent pattern
+    with the best objective wins.  Oversized supports use coordinate
+    descent.  lam = 0, oversized supports and a stack holding a singular
+    Gram matrix are solved one row at a time by this same function.
+
+    Returns (coefficients (n, size), objectives (n,)).
     """
-    size = Ds.shape[1]
-    xx = float(x @ x)
+    n, _, size = Ds.shape
+    if n > 1 and (lam == 0.0 or size > _SIGN_ENUM_LIMIT):
+        return _row_by_row(Ds, X, xx, lam)
     if lam == 0.0:
-        a, *_ = np.linalg.lstsq(Ds, x, rcond=None)
-        r = x - Ds @ a
-        return a, 0.5 * float(r @ r)
-    G = Ds.T @ Ds
-    b = Ds.T @ x
+        a, *_ = np.linalg.lstsq(Ds[0], X[0], rcond=None)
+        r = X[0] - Ds[0] @ a
+        return a[None], np.array([0.5 * float(r @ r)])
+    Dt = Ds.transpose(0, 2, 1)
+    G = Dt @ Ds
+    b = Dt @ X[:, :, None]                                      # (n, size, 1)
     if size > _SIGN_ENUM_LIMIT:
-        a = _cd_gram(G, b, xx, lam)
-        r = x - Ds @ a
-        return a, 0.5 * float(r @ r) + lam * float(np.abs(a).sum())
+        a = _cd_gram(G[0], b[0, :, 0], float(xx[0]), lam)
+        r = X[0] - Ds[0] @ a
+        return a[None], np.array([0.5 * float(r @ r) + lam * float(np.abs(a).sum())])
     signs = _sign_patterns(size)
-    rhs = b[:, None] - lam * signs
+    rhs = b - lam * signs
     try:
-        A = np.linalg.solve(G, rhs)                              # (size, 2^size)
+        A = np.linalg.solve(G, rhs)                             # (n, size, 2^size)
     except np.linalg.LinAlgError:
-        A, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-    consistent = np.all(A * signs >= -1e-12, axis=0)
-    best_a, best_obj = np.zeros(size), 0.5 * xx
-    if np.any(consistent):
-        A = A[:, consistent]
-        # Objectives in data space: the Gram-space form cancels
-        # catastrophically when a near-singular support yields huge
-        # coefficients, letting garbage candidates win.
-        R = x[:, None] - Ds @ A
-        objs = 0.5 * np.einsum("ij,ij->j", R, R) + lam * np.abs(A).sum(axis=0)
-        j = int(np.argmin(objs))
-        if objs[j] < best_obj:
-            best_a, best_obj = A[:, j], float(objs[j])
-    return best_a, best_obj
+        if n > 1:
+            return _row_by_row(Ds, X, xx, lam)
+        A = np.linalg.lstsq(G[0], rhs[0], rcond=None)[0][None]
+    # Objectives in data space: the Gram-space form cancels catastrophically
+    # when a near-singular support yields huge coefficients, letting garbage
+    # candidates win.
+    R = X[:, :, None] - Ds @ A
+    objs = 0.5 * np.einsum("nij,nij->nj", R, R) + lam * np.abs(A).sum(axis=1)
+    objs[~((A * signs).min(axis=1) >= -1e-12)] = np.inf        # inconsistent signs
+    j = objs.argmin(axis=1)
+    rows = np.arange(n)
+    obj = objs[rows, j]
+    better = obj < 0.5 * xx                     # else the zero code wins
+    return np.where(better[:, None], A[rows, :, j], 0.0), np.where(better, obj, 0.5 * xx)
+
+
+def _row_by_row(Ds, X, xx, lam):
+    solved = [_solve_support(Ds[i:i + 1], X[i:i + 1], xx[i:i + 1], lam) for i in range(len(X))]
+    return np.concatenate([a for a, _ in solved]), np.concatenate([o for _, o in solved])
 
 
 def _make_code(support, a, n_atoms) -> SparseCode:
@@ -151,46 +178,106 @@ def _make_code(support, a, n_atoms) -> SparseCode:
 
 def _enumerate_supports(x, mat, cap, params, trace):
     n_atoms = mat.shape[1]
-    best_obj = 0.5 * float(x @ x)
+    X = x[None]
+    xx = _row_dots(X)
+    best_obj = 0.5 * float(xx[0])
     best_support, best_a = (), np.zeros(0)
     if trace is not None:
         trace.append(best_obj)
     for size in range(1, cap + 1):
         for support in combinations(range(n_atoms), size):
-            a, obj = _solve_support(mat[:, support], x, params.lam)
-            if obj < best_obj - 1e-15:
-                best_obj, best_support, best_a = obj, support, a
+            a, obj = _solve_support(mat[:, support][None], X, xx, params.lam)
+            if obj[0] < best_obj - 1e-15:
+                best_obj, best_support, best_a = float(obj[0]), support, a[0]
                 if trace is not None:
-                    trace.append(obj)
+                    trace.append(best_obj)
     return _make_code(best_support, best_a, n_atoms)
 
 
-def _greedy(x, mat, cap, params, trace):
-    n_atoms = mat.shape[1]
-    support: list[int] = []
-    a = np.zeros(0)
-    best_obj = 0.5 * float(x @ x)
-    if trace is not None:
-        trace.append(best_obj)
+def _greedy(X, mat, cap, params, trace):
+    """Greedy codes of the rows of X, admitting atoms in lockstep.
 
-    # Forward admission: add the atom most correlated with the residual,
-    # then re-solve the active-set subproblem exactly.
-    for _ in range(cap):
-        r = x - mat[:, support] @ a if support else x
-        corr = mat.T @ r
-        if support:
-            corr[np.asarray(support)] = 0.0
-        j = int(np.argmax(np.abs(corr)))
-        if abs(corr[j]) <= params.lam + 1e-15:
-            break  # the soft threshold would zero the new atom
-        trial = support + [j]
-        a_new, obj = _solve_support(mat[:, trial], x, params.lam)
-        if obj >= best_obj - 1e-15:
-            break
-        support, a, best_obj = trial, a_new, obj
+    Forward admission: each row adds the atom most correlated with its
+    residual, then re-solves its active-set subproblem exactly; a row stops
+    when no atom clears the soft threshold or the re-solve does not lower
+    its objective.  Every live row at step t tries a support of t + 1 atoms,
+    so the correlations are one GEMM and the re-solves one stacked solve.
+    ``trace`` follows the objective of a one-row stack.
+    """
+    n, n_atoms = X.shape[0], mat.shape[1]
+    lam = params.lam
+    codes: list = [None] * n
+    # State of the rows still admitting atoms, compacted as rows stop: their
+    # indices, spectra, squared norms, objectives, supports (in admission
+    # order), coefficients and support columns.
+    live, Xl = np.arange(n), X
+    xx = _row_dots(X)
+    best = 0.5 * xx
+    support, coef, Ds = np.zeros((n, 0), dtype=np.intp), np.zeros((n, 0)), None
+    if trace is not None:
+        trace.append(float(best[0]))
+
+    def stop(rows):
+        for i in rows:
+            codes[live[i]] = _make_code(support[i], coef[i], n_atoms)
+
+    for step in range(cap):
+        R = Xl - (Ds @ coef[:, :, None])[:, :, 0] if step else Xl
+        mag = np.abs(R @ mat)
+        rows = np.arange(live.size)
+        mag[rows[:, None], support] = 0.0
+        j = mag.argmax(axis=1)
+        grow = mag[rows, j] > lam + 1e-15       # else the soft threshold zeroes it
+        # The first re-solve codes every row as the caller laid it out: a
+        # one-atom Gram right-hand side is a BLAS dot product, whose rounding
+        # depends on the stride of x.  Later steps drop the rows that stop.
+        if step and not grow.all():
+            stop(np.flatnonzero(~grow))
+            if not grow.any():
+                return codes
+            live, Xl, xx, best, support, coef, j = (
+                v[grow] for v in (live, Xl, xx, best, support, coef, j))
+            grow = grow[grow]
+        trial = np.concatenate((support, j[:, None]), axis=1)
+        Ds = _columns(mat, trial)
+        a, obj = _solve_support(Ds, Xl, xx, lam)
+        accept = grow & (obj < best - 1e-15)
+        if not accept.all():
+            stop(np.flatnonzero(~accept))
+            if not accept.any():
+                return codes
+            live, Xl, xx, trial, a, obj, Ds = (
+                v[accept] for v in (live, Xl, xx, trial, a, obj, Ds))
+        support, coef, best = trial, a, obj
         if trace is not None:
-            trace.append(obj)
-    return _make_code(support, a, n_atoms)
+            trace.append(float(obj[0]))
+    stop(range(live.size))
+    return codes
+
+
+def _code_rows(X, D, params, trace):
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite input spectrum")
+    mat = D.columns
+    if X.shape[1:] != (mat.shape[0],):
+        raise ValueError(
+            f"spectrum length {X.shape[1:]} does not match dictionary bands {mat.shape[0]}"
+        )
+    n_atoms = mat.shape[1]
+    cap = min(params.max_nonzeros, n_atoms)
+
+    # Small dictionaries: exact sweep over every support, row by row.
+    # Greedy selection can land in local optima on coherent dictionaries,
+    # and at this size exactness is cheap.
+    if sum(comb(n_atoms, s) for s in range(1, cap + 1)) <= _ENUM_LIMIT:
+        return [_enumerate_supports(x, mat, cap, params, trace) for x in X]
+    # Stack heights keep the correlation block and the largest sign-pattern
+    # residual block near _STACK_ELEMENTS doubles each.
+    rows = max(1, _STACK_ELEMENTS // max(n_atoms, mat.shape[0] << min(cap, _SIGN_ENUM_LIMIT)))
+    codes = []
+    for start in range(0, X.shape[0], rows):
+        codes += _greedy(X[start:start + rows], mat, cap, params, trace)
+    return codes
 
 
 def sparse_code(
@@ -206,22 +293,19 @@ def sparse_code(
     non-increasing.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input spectrum")
-    mat = D.columns
-    if x.shape != (mat.shape[0],):
-        raise ValueError(
-            f"spectrum length {x.shape} does not match dictionary bands {mat.shape[0]}"
-        )
-    n_atoms = mat.shape[1]
-    cap = min(params.max_nonzeros, n_atoms)
+    return _code_rows(x[None], D, params, trace)[0]
 
-    # Small dictionaries: exact sweep over every support.  Greedy selection
-    # can land in local optima on coherent dictionaries, and at this size
-    # exactness is cheap.
-    if sum(comb(n_atoms, s) for s in range(1, cap + 1)) <= _ENUM_LIMIT:
-        return _enumerate_supports(x, mat, cap, params, trace)
-    return _greedy(x, mat, cap, params, trace)
+
+def sparse_codes(X: np.ndarray, D: Dictionary, params: SolverParams) -> list[SparseCode]:
+    """Codes of the rows of ``X`` (n_spectra, bands) against one dictionary,
+    computed together.  Each is the code ``sparse_code`` gives its row, up
+    to how a tie between atom correlations within rounding is broken: a
+    stack's correlations are one matrix product, a single row's a
+    matrix-vector product."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("spectra must be a 2-D (n_spectra, bands) array")
+    return _code_rows(X, D, params, None)
 
 
 def residual_norm(x: np.ndarray, D: Dictionary, code: SparseCode) -> float:

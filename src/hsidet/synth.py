@@ -40,6 +40,8 @@ class SceneSpec:
             raise ValueError(f"placement must be one of {PLACEMENTS}")
         if self.n_targets >= self.width * self.height:
             raise ValueError("n_targets must leave room for background pixels")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _smooth_spectrum(rng: np.random.Generator, bands: int) -> np.ndarray:

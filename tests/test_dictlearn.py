@@ -175,6 +175,57 @@ class TestOdlLearn:
             h.odl_learn(np.zeros((5, 4)), h.OdlParams(n_atoms=2))
 
 
+def sequential_atom_update(D, A, B):
+    """Block coordinate descent one atom at a time, in index order."""
+    for j in range(D.shape[1]):
+        if A[j, j] <= 1e-12:
+            continue
+        u = D[:, j] + (B[:, j] - D @ A[:, j]) / A[j, j]
+        norm = np.linalg.norm(u)
+        if norm > 0.0:
+            D[:, j] = u / norm
+
+
+class TestStackedOdl:
+    def test_codes_each_mini_batch_in_one_call(self, monkeypatch):
+        calls = []
+        sparse_codes = dictlearn.sparse_codes
+
+        def counting(X, D, params):
+            calls.append(len(X))
+            return sparse_codes(X, D, params)
+
+        monkeypatch.setattr(dictlearn, "sparse_codes", counting)
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(20, 10))
+        h.odl_learn(X, h.OdlParams(n_atoms=40, epochs=3, batch_size=8, seed=1))
+        # three epochs of batches of 8, 8 and 4 samples, then one call that
+        # codes every sample to rank the replacements of dead atoms
+        assert calls == [8, 8, 4] * 3 + [20]
+
+    def test_atom_update_matches_sequential_pass(self):
+        # Mostly one-atom codes (vector step) with a few shared codes
+        # (sequential step); the last atoms are never used.
+        rng = np.random.default_rng(11)
+        m, k = 15, 40
+        D = rng.normal(size=(m, k))
+        D /= np.linalg.norm(D, axis=0)
+        A, B = np.zeros((k, k)), np.zeros((m, k))
+        coupled = np.zeros(k, dtype=bool)
+        for size in rng.choice([1, 1, 1, 2, 3], 60):
+            idx = np.sort(rng.choice(k - 5, size, replace=False))
+            c = rng.normal(size=size)
+            A[np.ix_(idx, idx)] += np.outer(c, c)
+            B[:, idx] += np.outer(rng.normal(size=m), c)
+            coupled[idx] |= size > 1
+        want = D.copy()
+        sequential_atom_update(want, A, B)
+        dictlearn._update_atoms(D, A, B, coupled)
+        assert D.tobytes() == want.tobytes()
+        active = np.diagonal(A) > 1e-12
+        assert np.any(active & coupled) and np.any(active & ~coupled) and not active.all()
+
+
 class TestInitDictionary:
     def test_atoms_drawn_from_samples(self):
         rng = np.random.default_rng(7)

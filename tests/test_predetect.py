@@ -154,6 +154,12 @@ class TestSelectTrainingSets:
         with pytest.raises(ValueError, match="background samples"):
             h.select_training_sets(scores, cube, 10, 0.8)
 
+    def test_fraction_selecting_no_background_is_error(self):
+        cube = make_cube(np.random.default_rng(12))
+        scores = h.ScoreMap(np.zeros((5, 5)))
+        with pytest.raises(ValueError, match=r"bg_fraction 0\.01 selects no background pixels out of 25"):
+            h.select_training_sets(scores, cube, 1, 0.01)
+
     def test_invalid_fraction(self):
         cube = make_cube(np.random.default_rng(11))
         scores = h.ScoreMap(np.zeros((5, 5)))

@@ -232,6 +232,148 @@ class TestCoordinateDescentFallback:
         assert worst <= 1e-6
 
 
+def assert_same_codes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dictionary_atoms == w.dictionary_atoms
+        assert np.array_equal(g.indices, w.indices)
+        assert g.coefficients.tobytes() == w.coefficients.tobytes()
+
+
+def codes_per_row(X, D, params):
+    return [h.sparse_code(x, h.Dictionary(D), params) for x in X]
+
+
+def mixed_rows(rng, D, n):
+    """Rows of 0 to 4 signed atoms of D plus noise; rows 0 and 5 are zero."""
+    m, n_atoms = D.shape
+    X = np.zeros((n, m))
+    for i in range(n):
+        if i in (0, 5):
+            continue
+        k = i % 5
+        atoms = rng.choice(n_atoms, k, replace=False)
+        X[i] = D[:, atoms] @ (rng.uniform(0.5, 2.0, k) * rng.choice((-1.0, 1.0), k))
+        X[i] += 0.02 * rng.normal(size=m)
+    return X
+
+
+def per_row_greedy(x, D, lam, cap):
+    """Greedy admission for one spectrum with two-dimensional arrays: the
+    most correlated atom joins, the support is re-solved over every sign
+    pattern, and the code stops when that does not lower the objective."""
+    support, a = [], np.zeros(0)
+    best = 0.5 * float(x @ x)
+    for _ in range(cap):
+        r = x - D[:, support] @ a if support else x
+        corr = D.T @ r
+        corr[support] = 0.0
+        j = int(np.argmax(np.abs(corr)))
+        if abs(corr[j]) <= lam + 1e-15:
+            break
+        Ds = D[:, support + [j]]
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=len(support) + 1))).T
+        A = np.linalg.solve(Ds.T @ Ds, (Ds.T @ x)[:, None] - lam * signs)
+        A = A[:, np.all(A * signs >= -1e-12, axis=0)]
+        R = x[:, None] - Ds @ A
+        objs = 0.5 * np.einsum("ij,ij->j", R, R) + lam * np.abs(A).sum(axis=0)
+        if not objs.size or objs.min() >= best - 1e-15:
+            break
+        support, a, best = support + [j], A[:, int(np.argmin(objs))], float(objs.min())
+    order = np.argsort(support)
+    keep = a[order] != 0.0
+    return h.SparseCode(np.array(support, dtype=np.intp)[order][keep], a[order][keep], D.shape[1])
+
+
+class TestStackedCodes:
+    """``sparse_codes`` against ``sparse_code`` row by row: equal supports
+    and bit-equal coefficients on every solver branch."""
+
+    def test_rows_stop_at_different_steps(self):
+        rng = np.random.default_rng(40)
+        D = random_dictionary(rng, 24, 120)
+        X = mixed_rows(rng, D, 200)  # more rows than one stack holds
+        params = h.SolverParams(lam=0.05, max_nonzeros=5)
+        stacked = h.sparse_codes(X, h.Dictionary(D), params)
+        assert_same_codes(stacked, codes_per_row(X, D, params))
+        sizes = [c.indices.size for c in stacked]
+        assert sizes[0] == sizes[5] == 0
+        assert {1, 2, 3, 4} <= set(sizes)
+
+    def test_matches_plain_per_row_greedy_for_any_row_layout(self):
+        # Strided rows (pixels of a band-sequential cube) and contiguous
+        # rows each give the codes the two-dimensional greedy gives them,
+        # one-atom codes included.
+        rng = np.random.default_rng(41)
+        D = random_dictionary(rng, 16, 60)
+        params = h.SolverParams(lam=0.1, max_nonzeros=4)
+        X = mixed_rows(rng, D, 40)
+        X[1::5] = 3.0 * D[:, :8].T + 0.01 * rng.normal(size=(8, 16))
+        strided = np.asfortranarray(X)
+        for rows in (X, strided):
+            want = [per_row_greedy(x, D, params.lam, 4) for x in rows]
+            assert_same_codes(h.sparse_codes(rows, h.Dictionary(D), params), want)
+            assert_same_codes(codes_per_row(rows, D, params), want)
+        assert sum(c.indices.size == 1 for c in want) >= 8
+
+    def test_zero_lambda(self):
+        rng = np.random.default_rng(42)
+        D = random_dictionary(rng, 12, 50)
+        X = mixed_rows(rng, D, 30)
+        params = h.SolverParams(lam=0.0, max_nonzeros=3)
+        stacked = h.sparse_codes(X, h.Dictionary(D), params)
+        assert_same_codes(stacked, codes_per_row(X, D, params))
+        assert max(c.indices.size for c in stacked) == 3
+
+    def test_duplicated_atom_takes_the_singular_fallback(self, monkeypatch):
+        # A large multiple of atom 0 leaves its duplicate, atom 1, with a
+        # residual correlation of lam up to rounding, so about half of
+        # those rows try the singular support {0, 1}.
+        calls = []
+        row_by_row = hsparse._row_by_row
+
+        def counting(Ds, X, xx, lam):
+            calls.append(len(X))
+            return row_by_row(Ds, X, xx, lam)
+
+        monkeypatch.setattr(hsparse, "_row_by_row", counting)
+        rng = np.random.default_rng(41)
+        D = random_dictionary(rng, 20, 80)
+        D[:, 1] = D[:, 0]
+        X = mixed_rows(rng, D, 40)
+        X[::2] = np.outer(rng.uniform(500, 2000, 20) * rng.choice((-1.0, 1.0), 20), D[:, 0])
+        params = h.SolverParams(lam=0.1, max_nonzeros=3)
+        stacked = h.sparse_codes(X, h.Dictionary(D), params)
+        assert any(n > 1 for n in calls)
+        assert_same_codes(stacked, codes_per_row(X, D, params))
+
+    def test_cap_above_sign_enumeration_limit(self, monkeypatch):
+        # Stacks are cut to one row at this size; lift the cut so that
+        # several rows reach coordinate descent together.
+        monkeypatch.setattr(hsparse, "_STACK_ELEMENTS", 1 << 30)
+        rng = np.random.default_rng(43)
+        D = random_dictionary(rng, 40, 30)
+        X = rng.normal(size=(5, 40))
+        params = h.SolverParams(lam=0.01, max_nonzeros=14)
+        stacked = h.sparse_codes(X, h.Dictionary(D), params)
+        assert_same_codes(stacked, codes_per_row(X, D, params))
+        assert max(c.indices.size for c in stacked) > _SIGN_ENUM_LIMIT
+
+    def test_small_dictionary_enumerates_each_row(self):
+        rng = np.random.default_rng(44)
+        D = random_dictionary(rng, 8, 8)
+        X = mixed_rows(rng, D, 12)
+        params = h.SolverParams(lam=0.1, max_nonzeros=3)
+        assert_same_codes(h.sparse_codes(X, h.Dictionary(D), params), codes_per_row(X, D, params))
+
+    def test_stack_shapes(self):
+        D = h.Dictionary(random_dictionary(np.random.default_rng(45), 6, 40))
+        assert h.sparse_codes(np.zeros((0, 6)), D, h.SolverParams()) == []
+        for bad in (np.ones(6), np.ones((3, 5)), np.full((2, 6), np.nan)):
+            with pytest.raises(ValueError):
+                h.sparse_codes(bad, D, h.SolverParams())
+
+
 class TestResidualNorm:
     def test_exact_atom_residual_zero(self):
         D = random_dictionary(np.random.default_rng(9), 6, 4)

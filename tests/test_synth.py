@@ -71,6 +71,8 @@ class TestGenerate:
             h.SceneSpec(noise_sigma=-0.1)
         with pytest.raises(ValueError):
             h.SceneSpec(placement="ring")
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            h.SceneSpec(seed=-1)
 
 
 class TestPresets:
