@@ -25,6 +25,7 @@ from .detector import METHODS, detect
 from .hierdict import WindowSpec
 from .metrics import compare as compare_maps
 from .metrics import write_comparison
+from .predetect import background_count
 from .synth import PRESETS, generate
 
 log = logging.getLogger("hsidet")
@@ -134,7 +135,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    # Methods and config are checked before anything is written.
+    # Methods, config and (for a preset) the training-set sizes are checked
+    # before anything is written.
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValueError(f"no method given (choose from {','.join(METHODS)})")
@@ -145,6 +147,9 @@ def cmd_compare(args) -> int:
             raise ValueError(f"method {m!r} is listed more than once")
     config = _config_from_args(
         args, preset_config(args.preset) if args.preset else DetectorConfig())
+    if args.preset:
+        spec = PRESETS[args.preset]
+        background_count(spec.width * spec.height, config.n_target_train, config.bg_fraction)
     out = args.out
     os.makedirs(out, exist_ok=True)
     if args.preset:

@@ -20,29 +20,56 @@ from . import predetect
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
 from .dictlearn import DictionaryFit, learn_global_dictionaries
-from .hierdict import build_hierarchical, local_background
-from .sparse import SolverParams, residual_norm, sparse_code, sparse_codes
-
-BgProvider = Callable[[int, int], Dictionary]
+from .hierdict import NORM_TOLERANCE, WindowSpec, unit_pixels, window_rings
+from .sparse import SolverParams, residual_norm, sparse_codes
 
 
-def _score_pixels(cube: HsiCube, score: Callable[[np.ndarray, int, int], float]) -> ScoreMap:
-    """The map of ``score(spec, x, y)`` over every pixel."""
-    out = np.empty((cube.height, cube.width))
+def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
+                params: SolverParams):
+    """Code every pixel against its own dictionary: the ``shared`` atoms,
+    then its unit-norm dual-window ring (``hierdict.local_background``), or
+    no ring when ``window`` is None.
+
+    Yields, for each image row in turn, the row's spectra, the pool
+    [shared | unit-norm nonzero pixels of the row's window band], the
+    (width, pool atoms) mask of each pixel's atoms in the pool, and the
+    pixels' codes in pool columns.  An empty or all-zero-norm ring raises
+    ``ValueError`` naming the first such pixel in row-major order.
+    """
+    if shared.n_atoms == 0 and window is None:
+        raise ValueError("both background dictionaries are empty")
+    if shared.n_atoms:
+        if shared.bands != cube.bands:
+            raise ValueError(f"band mismatch: shared {shared.bands} vs cube {cube.bands}")
+        if np.max(np.abs(np.linalg.norm(shared.columns, axis=0) - 1.0)) > NORM_TOLERANCE:
+            raise ValueError("shared dictionary is not unit-norm")
+    pixels = cube.data.reshape(cube.bands, -1).T   # strided, as in residual_maps
+    width = cube.width
+    every = np.ones((width, shared.n_atoms), dtype=bool)
+    if window is not None:
+        unit, nonzero = unit_pixels(cube)
     for y in range(cube.height):
-        for x in range(cube.width):
-            out[y, x] = score(cube.data[:, y, x], x, y)
-    return ScoreMap(out)
+        row = pixels[y * width:(y + 1) * width]
+        if window is None:
+            pool, masks = shared, every
+        else:
+            band, rings = window_rings(nonzero, y, range(width), window)
+            pool = Dictionary(np.hstack([shared.columns, unit[:, band]]))
+            masks = np.hstack([every, rings])
+        yield row, pool, masks, sparse_codes(row, pool, params, masks)
 
 
 def residual_maps(
     cube: HsiCube,
     D_t: Dictionary,
-    bg_provider: BgProvider,
+    D_b_global: Dictionary,
+    window: WindowSpec | None,
     params: SolverParams,
 ) -> tuple[ScoreMap, ScoreMap]:
     """Residual of every pixel coded against the target dictionary alone and
-    against its per-pixel hierarchical background dictionary."""
+    against its hierarchical background dictionary [D_b_global | its
+    dual-window ring].  ``window=None`` codes against D_b_global alone, an
+    empty D_b_global against the ring alone."""
     if D_t.bands != cube.bands:
         raise ValueError("target dictionary bands do not match cube")
     # Every pixel shares D_t, so its codes are stacked.  The rows are strided
@@ -50,12 +77,13 @@ def residual_maps(
     pixels = cube.data.reshape(cube.bands, -1).T
     codes = sparse_codes(pixels, D_t, params)
     r_t = np.array([residual_norm(x, D_t, c) for x, c in zip(pixels, codes)])
-
-    def score(spec: np.ndarray, x: int, y: int) -> float:
-        D_b = bg_provider(x, y)
-        return residual_norm(spec, D_b, sparse_code(spec, D_b, params))
-
-    return ScoreMap(r_t.reshape(cube.height, cube.width)), _score_pixels(cube, score)
+    r_b = np.array([
+        residual_norm(x, pool, c)
+        for row, pool, _, row_codes in _ring_codes(cube, D_b_global, window, params)
+        for x, c in zip(row, row_codes)
+    ])
+    shape = (cube.height, cube.width)
+    return ScoreMap(r_t.reshape(shape)), ScoreMap(r_b.reshape(shape))
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
@@ -110,14 +138,8 @@ class Fit(DictionaryFit):
 
     @cached_property
     def residuals(self) -> tuple[ScoreMap, ScoreMap]:
-        cube, D_t, D_b_global, config = self.cube, self.D_t, self.D_b, self.config
-
-        def bg_provider(x: int, y: int) -> Dictionary:
-            local = local_background(cube, x, y, config.window)
-            return build_hierarchical(D_b_global, local)
-
-        params = SolverParams(lam=config.lam, max_nonzeros=config.k)
-        return residual_maps(cube, D_t, bg_provider, params)
+        params = SolverParams(lam=self.config.lam, max_nonzeros=self.config.k)
+        return residual_maps(self.cube, self.D_t, self.D_b, self.config.window, params)
 
 
 def hierarchical_residuals(
@@ -152,16 +174,17 @@ def _std(fit: Fit) -> ScoreMap:
     cube, D_t, config = fit.cube, fit.D_t, fit.config
     params = SolverParams(lam=config.lam, max_nonzeros=config.k)
     n_t = D_t.n_atoms
-
-    def score(spec: np.ndarray, x: int, y: int) -> float:
-        local = local_background(cube, x, y, config.window)
-        joint = Dictionary(np.hstack([D_t.columns, local.columns]))
-        dense = sparse_code(spec, joint, params).dense()
-        rec_t = D_t.columns @ dense[:n_t]
-        rec_b = local.columns @ dense[n_t:]
-        return float(np.linalg.norm(spec - rec_b) - np.linalg.norm(spec - rec_t))
-
-    return _score_pixels(cube, score)
+    scores = []
+    for row, pool, masks, codes in _ring_codes(cube, D_t, config.window, params):
+        for spec, ring, code in zip(row, masks[:, n_t:], codes):
+            dense = code.dense()
+            # The gathered ring block has local_background's column layout,
+            # which the rounding of rec_b depends on.
+            ring = n_t + np.flatnonzero(ring)
+            rec_t = D_t.columns @ dense[:n_t]
+            rec_b = pool.columns[:, ring] @ dense[ring]
+            scores.append(float(np.linalg.norm(spec - rec_b) - np.linalg.norm(spec - rec_t)))
+    return ScoreMap(np.array(scores).reshape(cube.height, cube.width))
 
 
 def std_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:

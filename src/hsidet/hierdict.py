@@ -5,6 +5,8 @@ inside the outer window but outside the inner window contributes its
 spectrum as one atom.  Windows are clamped at image borders (no padding),
 zero-norm pixels are dropped, and every atom is normalized to unit length
 before concatenation with the globally learned background dictionary.
+The image is normalized once (``unit_pixels``) and every ring, of one
+pixel or of a whole image row, follows one rule (``window_rings``).
 """
 
 from __future__ import annotations
@@ -42,8 +44,45 @@ def normalize_atoms(D: Dictionary) -> Dictionary:
     return Dictionary(D.columns / norms)
 
 
-def _clamped(center: int, half: int, size: int) -> tuple[int, int]:
-    return max(0, center - half), min(size - 1, center + half)
+def unit_pixels(cube: HsiCube) -> tuple[np.ndarray, np.ndarray]:
+    """Every pixel spectrum divided by its norm, as the columns of a (bands,
+    N) array in row-major pixel order, and the (height, width) mask of
+    nonzero-norm pixels (the zero-norm columns stay zero).  Each column is
+    laid out contiguously, as a gathered ring is, so its norm rounds the
+    same."""
+    flat = np.asfortranarray(cube.data.reshape(cube.bands, -1))
+    norms = np.linalg.norm(flat, axis=0)
+    nonzero = norms > 0.0
+    return flat / np.where(nonzero, norms, 1.0), nonzero.reshape(cube.height, cube.width)
+
+
+def window_rings(nonzero: np.ndarray, y: int, xs, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The dual-window rings of the pixels (x, y), x in ``xs``, of one image row.
+
+    ``nonzero`` is the (height, width) mask of nonzero-norm pixels.  Returns
+    the row-major indices of the nonzero-norm pixels in the band of image
+    rows the clamped outer windows span, and a (len(xs), band pixels) mask
+    whose row i is True on the ring of (xs[i], y): its clamped outer window
+    minus its clamped inner window, zero-norm pixels dropped.  Both run in
+    row-major order.  Raises ``ValueError`` naming the first pixel whose
+    ring is empty or holds only zero-norm pixels."""
+    height, width = nonzero.shape
+    oy0, oy1 = max(0, y - w.outer // 2), min(height - 1, y + w.outer // 2)
+    xs = np.asarray(xs)
+    dx = np.abs(np.arange(width)[None, :] - xs[:, None])              # (pixel, column)
+    dy = np.abs(np.arange(oy0, oy1 + 1) - y)                          # (band row,)
+    inner = (dy <= w.inner // 2)[None, :, None] & (dx <= w.inner // 2)[:, None, :]
+    ring = ((dx <= w.outer // 2)[:, None, :] & ~inner).reshape(xs.size, -1)
+    kept = nonzero[oy0:oy1 + 1].ravel()
+    rings = ring[:, kept]
+    bad = ~rings.any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        x = int(xs[i])
+        if not ring[i].any():
+            raise ValueError(f"empty local window ring at ({x}, {y})")
+        raise ValueError(f"all local window pixels at ({x}, {y}) have zero norm")
+    return oy0 * width + np.flatnonzero(kept), rings
 
 
 def local_background(cube: HsiCube, x: int, y: int, w: WindowSpec) -> Dictionary:
@@ -51,21 +90,9 @@ def local_background(cube: HsiCube, x: int, y: int, w: WindowSpec) -> Dictionary
     ring in row-major order, zero-norm pixels dropped, columns unit-norm."""
     if not (0 <= x < cube.width and 0 <= y < cube.height):
         raise IndexError(f"pixel ({x}, {y}) outside {cube.width}x{cube.height} image")
-    ox0, ox1 = _clamped(x, w.outer // 2, cube.width)
-    oy0, oy1 = _clamped(y, w.outer // 2, cube.height)
-    ix0, ix1 = _clamped(x, w.inner // 2, cube.width)
-    iy0, iy1 = _clamped(y, w.inner // 2, cube.height)
-
-    ring = np.ones((oy1 - oy0 + 1, ox1 - ox0 + 1), dtype=bool)
-    ring[iy0 - oy0:iy1 - oy0 + 1, ix0 - ox0:ix1 - ox0 + 1] = False
-    if not ring.any():
-        raise ValueError(f"empty local window ring at ({x}, {y})")
-    mat = cube.data[:, oy0:oy1 + 1, ox0:ox1 + 1][:, ring]
-    norms = np.linalg.norm(mat, axis=0)
-    mat = mat[:, norms > 0.0]
-    if mat.shape[1] == 0:
-        raise ValueError(f"all local window pixels at ({x}, {y}) have zero norm")
-    return Dictionary(mat / np.linalg.norm(mat, axis=0))
+    unit, nonzero = unit_pixels(cube)
+    band, rings = window_rings(nonzero, y, [x], w)
+    return Dictionary(unit[:, band[rings[0]]])
 
 
 def build_hierarchical(D_b_global: Dictionary, D_b_local: Dictionary) -> Dictionary:

@@ -7,7 +7,10 @@ as in the orthogonal matching pursuit of sparse-representation target
 detectors (Chen, Nasrabadi & Tran 2011).  Spectra coded against one
 dictionary admit atoms together, as one stack of rows, in the manner of
 Batch-OMP (Rubinstein, Zibulevsky & Elad 2008); a single spectrum is a
-stack of one row.  Either way each fixed-support
+stack of one row.  Spectra whose dictionaries are different column subsets
+of one pool matrix, such as pixels' [global | dual-window ring]
+dictionaries, share a stack too: a per-row mask keeps each row to its own
+columns.  Either way each fixed-support
 subproblem is solved exactly: for supports up to ``_SIGN_ENUM_LIMIT``
 atoms by enumerating sign patterns of the stationarity system, beyond that
 by soft-thresholded coordinate descent in Gram space.  Coefficient signs
@@ -194,7 +197,7 @@ def _enumerate_supports(x, mat, cap, params, trace):
     return _make_code(best_support, best_a, n_atoms)
 
 
-def _greedy(X, mat, cap, params, trace):
+def _greedy(X, mat, cap, params, trace, mask=None):
     """Greedy codes of the rows of X, admitting atoms in lockstep.
 
     Forward admission: each row adds the atom most correlated with its
@@ -202,15 +205,19 @@ def _greedy(X, mat, cap, params, trace):
     when no atom clears the soft threshold or the re-solve does not lower
     its objective.  Every live row at step t tries a support of t + 1 atoms,
     so the correlations are one GEMM and the re-solves one stacked solve.
-    ``trace`` follows the objective of a one-row stack.
+    A (n, atoms) boolean ``mask`` confines each row to its own atoms: the
+    others' correlations are zero, so they never clear the threshold, and
+    each row's correlations are its own vector-matrix product, the BLAS
+    call a one-row stack of its own dictionary makes.  ``trace`` follows the
+    objective of a one-row stack.
     """
     n, n_atoms = X.shape[0], mat.shape[1]
     lam = params.lam
     codes: list = [None] * n
     # State of the rows still admitting atoms, compacted as rows stop: their
-    # indices, spectra, squared norms, objectives, supports (in admission
-    # order), coefficients and support columns.
-    live, Xl = np.arange(n), X
+    # indices, spectra, atom masks, squared norms, objectives, supports (in
+    # admission order), coefficients and support columns.
+    live, Xl, M = np.arange(n), X, mask
     xx = _row_dots(X)
     best = 0.5 * xx
     support, coef, Ds = np.zeros((n, 0), dtype=np.intp), np.zeros((n, 0)), None
@@ -223,7 +230,11 @@ def _greedy(X, mat, cap, params, trace):
 
     for step in range(cap):
         R = Xl - (Ds @ coef[:, :, None])[:, :, 0] if step else Xl
-        mag = np.abs(R @ mat)
+        if M is None:
+            mag = np.abs(R @ mat)
+        else:
+            mag = np.abs([r @ mat for r in R])
+            mag[~M] = 0.0
         rows = np.arange(live.size)
         mag[rows[:, None], support] = 0.0
         j = mag.argmax(axis=1)
@@ -237,6 +248,7 @@ def _greedy(X, mat, cap, params, trace):
                 return codes
             live, Xl, xx, best, support, coef, j = (
                 v[grow] for v in (live, Xl, xx, best, support, coef, j))
+            M = None if M is None else M[grow]
             grow = grow[grow]
         trial = np.concatenate((support, j[:, None]), axis=1)
         Ds = _columns(mat, trial)
@@ -248,6 +260,7 @@ def _greedy(X, mat, cap, params, trace):
                 return codes
             live, Xl, xx, trial, a, obj, Ds = (
                 v[accept] for v in (live, Xl, xx, trial, a, obj, Ds))
+            M = None if M is None else M[accept]
         support, coef, best = trial, a, obj
         if trace is not None:
             trace.append(float(obj[0]))
@@ -255,7 +268,11 @@ def _greedy(X, mat, cap, params, trace):
     return codes
 
 
-def _code_rows(X, D, params, trace):
+def _enumerated(n_atoms, cap):
+    return sum(comb(n_atoms, s) for s in range(1, cap + 1)) <= _ENUM_LIMIT
+
+
+def _code_rows(X, D, params, trace, mask=None):
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite input spectrum")
     mat = D.columns
@@ -269,14 +286,33 @@ def _code_rows(X, D, params, trace):
     # Small dictionaries: exact sweep over every support, row by row.
     # Greedy selection can land in local optima on coherent dictionaries,
     # and at this size exactness is cheap.
-    if sum(comb(n_atoms, s) for s in range(1, cap + 1)) <= _ENUM_LIMIT:
+    if mask is None and _enumerated(n_atoms, cap):
         return [_enumerate_supports(x, mat, cap, params, trace) for x in X]
+    n = X.shape[0]
+    codes: list = [None] * n
+    stacked = np.ones(n, dtype=bool)
+    if mask is not None:
+        # A row whose own dictionary is enumerated, or whose cap is below the
+        # stack's, is coded alone against that dictionary, laid out as a
+        # concatenation of its atoms is.
+        for i, count in enumerate(mask.sum(axis=1).tolist()):
+            own_cap = min(params.max_nonzeros, count)
+            if own_cap < cap or _enumerated(count, own_cap):
+                own = np.flatnonzero(mask[i])
+                code = _code_rows(X[i][None], Dictionary(np.ascontiguousarray(mat[:, own])),
+                                  params, trace)[0]
+                codes[i] = SparseCode(own[code.indices], code.coefficients, n_atoms)
+                stacked[i] = False
     # Stack heights keep the correlation block and the largest sign-pattern
-    # residual block near _STACK_ELEMENTS doubles each.
+    # residual block near _STACK_ELEMENTS doubles each.  Stacks are slices
+    # of X, so every row keeps the caller's layout.
     rows = max(1, _STACK_ELEMENTS // max(n_atoms, mat.shape[0] << min(cap, _SIGN_ENUM_LIMIT)))
-    codes = []
-    for start in range(0, X.shape[0], rows):
-        codes += _greedy(X[start:start + rows], mat, cap, params, trace)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], stacked, [0]))))
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            codes[start:stop] = _greedy(X[start:stop], mat, cap, params, trace,
+                                        None if mask is None else mask[start:stop])
     return codes
 
 
@@ -296,16 +332,34 @@ def sparse_code(
     return _code_rows(x[None], D, params, trace)[0]
 
 
-def sparse_codes(X: np.ndarray, D: Dictionary, params: SolverParams) -> list[SparseCode]:
+def sparse_codes(
+    X: np.ndarray,
+    D: Dictionary,
+    params: SolverParams,
+    mask: np.ndarray | None = None,
+) -> list[SparseCode]:
     """Codes of the rows of ``X`` (n_spectra, bands) against one dictionary,
     computed together.  Each is the code ``sparse_code`` gives its row, up
     to how a tie between atom correlations within rounding is broken: a
     stack's correlations are one matrix product, a single row's a
-    matrix-vector product."""
+    matrix-vector product.
+
+    A boolean ``mask`` (n_spectra, atoms) makes ``D`` a pool from which
+    each row draws its own dictionary: row i is coded against
+    ``D.columns[:, mask[i]]``, in column order, and its code's indices
+    count ``D``'s columns.  Rows still share one greedy pass, but each
+    row's correlations are its own vector-matrix product, as a single
+    row's are.  A pool column's correlation can still round differently
+    from the same atom's in the row's own smaller dictionary, which
+    matters only at a tie within rounding."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("spectra must be a 2-D (n_spectra, bands) array")
-    return _code_rows(X, D, params, None)
+    if mask is not None:
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (X.shape[0], D.n_atoms):
+            raise ValueError("mask must be a boolean (n_spectra, atoms) array")
+    return _code_rows(X, D, params, None, mask)
 
 
 def residual_norm(x: np.ndarray, D: Dictionary, code: SparseCode) -> float:

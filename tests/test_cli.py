@@ -235,6 +235,20 @@ class TestCompareCommand:
         assert capsys.readouterr().err.startswith(f"error: {field} must")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--bg-fraction", "0.0001"], "bg_fraction 0.0001 selects no background pixels out of 1600"),
+        (["--train-targets", "1000"],
+         "requested 1000 target + 1280 background samples from 1600 pixels"),
+    ])
+    def test_training_set_sizes_fail_before_the_scene_is_written(
+            self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        rc = main(["compare", "--preset", "sparse-targets", "--methods", "wshr",
+                   "--out", str(out), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_compare_without_inputs_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["compare", "--out", str(tmp_path / "o")])

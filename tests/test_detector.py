@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 import hsidet as h
-from hsidet import dictlearn
+from hsidet import detector, dictlearn, hierdict
 
 
 def tiny_config(**overrides):
@@ -164,7 +164,7 @@ class TestResidualMaps:
         data[:, 1, 1] = D_t.columns[:, 0]
         cube = h.HsiCube(data)
         params = h.SolverParams(lam=0.0, max_nonzeros=2)
-        r_t, r_b = h.residual_maps(cube, D_t, lambda x, y: D_b, params)
+        r_t, r_b = h.residual_maps(cube, D_t, D_b, None, params)
         assert r_t.values[1, 1] < 1e-9
 
     def test_matches_exhaustive_oracle_on_small_cube(self):
@@ -178,7 +178,7 @@ class TestResidualMaps:
             return h.build_hierarchical(D_g, h.local_background(cube, x, y, window))
 
         params = h.SolverParams(lam=0.1, max_nonzeros=2)
-        r_t, r_b = h.residual_maps(cube, D_t, bg_provider, params)
+        r_t, r_b = h.residual_maps(cube, D_t, D_g, window, params)
         for y in range(cube.height):
             for x in range(cube.width):
                 spec = cube.data[:, y, x]
@@ -191,7 +191,167 @@ class TestResidualMaps:
         cube = h.HsiCube(np.ones((3, 2, 2)))
         D_t = h.Dictionary(np.eye(4))
         with pytest.raises(ValueError):
-            h.residual_maps(cube, D_t, lambda x, y: D_t, h.SolverParams())
+            h.residual_maps(cube, D_t, D_t, None, h.SolverParams())
+
+
+def windowed_cube(rng, bands, height, width, dead=()):
+    data = rng.random((bands, height, width)) + 0.05
+    for x, y in dead:
+        data[:, y, x] = 0.0
+    return h.HsiCube(data)
+
+
+def unit_atoms(rng, bands, n):
+    return h.normalize_atoms(h.Dictionary(rng.normal(size=(bands, n))))
+
+
+def per_pixel_background(cube, D_g, window, params):
+    """r_b pixel by pixel, each against its own hierarchical dictionary."""
+    out = np.empty((cube.height, cube.width))
+    for y in range(cube.height):
+        for x in range(cube.width):
+            spec = cube.data[:, y, x]
+            D_b = h.build_hierarchical(D_g, h.local_background(cube, x, y, window))
+            out[y, x] = h.residual_norm(spec, D_b, h.sparse_code(spec, D_b, params))
+    return out
+
+
+def per_pixel_std(cube, D_t, window, params):
+    """STD pixel by pixel, each coded against [D_t | its own ring]."""
+    out = np.empty((cube.height, cube.width))
+    n_t = D_t.n_atoms
+    for y in range(cube.height):
+        for x in range(cube.width):
+            spec = cube.data[:, y, x]
+            local = h.local_background(cube, x, y, window)
+            joint = h.Dictionary(np.hstack([D_t.columns, local.columns]))
+            dense = h.sparse_code(spec, joint, params).dense()
+            rec_t = D_t.columns @ dense[:n_t]
+            rec_b = local.columns @ dense[n_t:]
+            out[y, x] = np.linalg.norm(spec - rec_b) - np.linalg.norm(spec - rec_t)
+    return out
+
+
+def std_map(cube, D_t, window, params):
+    config = h.DetectorConfig(window=window, lam=params.lam, k=params.max_nonzeros)
+    fit = h.Fit(cube, np.ones(cube.bands), config)
+    fit.D_t = D_t
+    return detector.METHODS["std"](fit).values
+
+
+# (bands, height, width, dead pixels, window, shared atoms, k): zero-norm
+# pixels, clamped borders on every side, an outer window wider than the
+# image, and dictionaries small enough to be enumerated (corners of the
+# first case, every pixel of the last) next to greedy-coded ones.
+WINDOWED_CASES = [
+    (12, 7, 9, [(1, 1), (4, 3), (8, 6)], h.WindowSpec(5, 1), 6, 3),
+    (10, 6, 5, [(2, 2)], h.WindowSpec(11, 3), 8, 3),
+    (9, 5, 6, [(0, 0), (5, 4)], h.WindowSpec(3, 1), 4, 2),
+]
+
+
+class TestWindowedCoder:
+    """Every pixel coded against [shared atoms | its own ring] in stacked
+    greedy passes, against the pixel-by-pixel reference."""
+
+    @pytest.mark.parametrize("case", range(len(WINDOWED_CASES)))
+    @pytest.mark.parametrize("lam", [0.02, 0.1])
+    def test_background_residuals_bit_equal_per_pixel(self, case, lam):
+        bands, height, width, dead, window, n_g, k = WINDOWED_CASES[case]
+        rng = np.random.default_rng(100 + case)
+        cube = windowed_cube(rng, bands, height, width, dead)
+        D_t, D_g = unit_atoms(rng, bands, 5), unit_atoms(rng, bands, n_g)
+        params = h.SolverParams(lam=lam, max_nonzeros=k)
+        _, r_b = h.residual_maps(cube, D_t, D_g, window, params)
+        assert r_b.values.tobytes() == per_pixel_background(cube, D_g, window, params).tobytes()
+
+    @pytest.mark.parametrize("case", range(len(WINDOWED_CASES)))
+    def test_std_scores_match_per_pixel_joint_coding(self, case):
+        bands, height, width, dead, window, n_g, k = WINDOWED_CASES[case]
+        rng = np.random.default_rng(200 + case)
+        cube = windowed_cube(rng, bands, height, width, dead)
+        D_t = unit_atoms(rng, bands, n_g)
+        params = h.SolverParams(lam=0.05, max_nonzeros=k)
+        got = std_map(cube, D_t, window, params)
+        assert np.max(np.abs(got - per_pixel_std(cube, D_t, window, params))) <= 1e-12
+
+    def test_global_only_and_local_only(self):
+        rng = np.random.default_rng(300)
+        cube = windowed_cube(rng, 10, 5, 6, [(3, 2)])
+        D_t, D_g = unit_atoms(rng, 10, 4), unit_atoms(rng, 10, 20)
+        window = h.WindowSpec(5, 1)
+        params = h.SolverParams(lam=0.05, max_nonzeros=3)
+        empty = h.Dictionary(np.empty((10, 0)))
+        _, global_only = h.residual_maps(cube, D_t, D_g, None, params)
+        _, local_only = h.residual_maps(cube, D_t, empty, window, params)
+        for y in range(cube.height):
+            for x in range(cube.width):
+                spec = cube.data[:, y, x]
+                for got, D in ((global_only, D_g),
+                               (local_only, h.local_background(cube, x, y, window))):
+                    want = h.residual_norm(spec, D, h.sparse_code(spec, D, params))
+                    assert abs(got.values[y, x] - want) <= 1e-12
+        with pytest.raises(ValueError, match="both background dictionaries are empty"):
+            h.residual_maps(cube, D_t, empty, None, params)
+
+    def test_empty_ring_names_the_first_pixel(self):
+        # In a 3x3 image a 5/3 window leaves (1, 1) nothing; (1, 0) and
+        # (0, 1) keep one row or column.
+        rng = np.random.default_rng(301)
+        cube = windowed_cube(rng, 4, 3, 3)
+        D = unit_atoms(rng, 4, 3)
+        window = h.WindowSpec(5, 3)
+        message = r"empty local window ring at \(1, 1\)"
+        with pytest.raises(ValueError, match=message):
+            h.local_background(cube, 1, 1, window)
+        with pytest.raises(ValueError, match=message):
+            h.residual_maps(cube, D, D, window, h.SolverParams())
+        with pytest.raises(ValueError, match=message):
+            std_map(cube, D, window, h.SolverParams())
+
+    def test_all_zero_ring_names_the_first_pixel(self):
+        # Only column 0 is nonzero: the rings of columns 2 and 3 hold only
+        # zero-norm pixels, first at (2, 0).
+        data = np.zeros((4, 4, 4))
+        data[:, :, 0] = np.random.default_rng(302).random((4, 4)) + 0.1
+        cube = h.HsiCube(data)
+        D = unit_atoms(np.random.default_rng(303), 4, 3)
+        window = h.WindowSpec(3, 1)
+        message = r"all local window pixels at \(2, 0\) have zero norm"
+        with pytest.raises(ValueError, match=message):
+            h.local_background(cube, 2, 0, window)
+        with pytest.raises(ValueError, match=message):
+            h.residual_maps(cube, D, D, window, h.SolverParams())
+        with pytest.raises(ValueError, match=message):
+            std_map(cube, D, window, h.SolverParams())
+
+    def test_shared_block_checked_once(self):
+        rng = np.random.default_rng(304)
+        cube = windowed_cube(rng, 5, 4, 4)
+        D = unit_atoms(rng, 5, 3)
+        with pytest.raises(ValueError, match="not unit-norm"):
+            h.residual_maps(cube, D, h.Dictionary(2.0 * D.columns), h.WindowSpec(3, 1),
+                            h.SolverParams())
+        with pytest.raises(ValueError, match="band mismatch"):
+            h.residual_maps(cube, D, unit_atoms(rng, 6, 3), h.WindowSpec(3, 1),
+                            h.SolverParams())
+
+    def test_no_per_pixel_dictionary_is_built(self, monkeypatch):
+        calls = []
+        for name in ("local_background", "build_hierarchical"):
+            real = getattr(hierdict, name)
+
+            def counting(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(hierdict, name, counting)
+            monkeypatch.setattr(detector, name, counting, raising=False)
+        cube, mask, signature = tiny_scene(seed=5)
+        fit = h.Fit(cube, signature, tiny_config())
+        fit.residuals
+        h.std_detect(cube, signature, tiny_config())
+        assert calls == []
 
 
 class TestPipeline:

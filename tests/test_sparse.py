@@ -366,12 +366,35 @@ class TestStackedCodes:
         params = h.SolverParams(lam=0.1, max_nonzeros=3)
         assert_same_codes(h.sparse_codes(X, h.Dictionary(D), params), codes_per_row(X, D, params))
 
+    def test_masked_pool_codes_each_row_against_its_own_atoms(self):
+        # Rows draw 2 to about 40 of 60 pool atoms: below the cap, small
+        # enough to enumerate, or greedy-coded in one stack.
+        rng = np.random.default_rng(46)
+        D = random_dictionary(rng, 14, 60)
+        X = mixed_rows(rng, D, 50)
+        mask = rng.random((50, 60)) < rng.uniform(0.1, 0.7, (50, 1))
+        mask[1] = np.arange(60) < 2
+        params = h.SolverParams(lam=0.05, max_nonzeros=4)
+        got = h.sparse_codes(X, h.Dictionary(D), params, mask)
+        want = []
+        for x, m in zip(X, mask):
+            own = np.flatnonzero(m)
+            code = h.sparse_code(x, h.Dictionary(np.ascontiguousarray(D[:, own])), params)
+            want.append(h.SparseCode(own[code.indices], code.coefficients, 60))
+        assert_same_codes(got, want)
+        counts = mask.sum(axis=1)
+        assert counts.min() < 4 and counts.max() > 30
+        assert all(set(c.indices) <= set(np.flatnonzero(m)) for c, m in zip(got, mask))
+
     def test_stack_shapes(self):
         D = h.Dictionary(random_dictionary(np.random.default_rng(45), 6, 40))
         assert h.sparse_codes(np.zeros((0, 6)), D, h.SolverParams()) == []
         for bad in (np.ones(6), np.ones((3, 5)), np.full((2, 6), np.nan)):
             with pytest.raises(ValueError):
                 h.sparse_codes(bad, D, h.SolverParams())
+        for bad_mask in (np.ones((2, 39), dtype=bool), np.ones((2, 40), dtype=int)):
+            with pytest.raises(ValueError, match="mask"):
+                h.sparse_codes(np.ones((2, 6)), D, h.SolverParams(), bad_mask)
 
 
 class TestResidualNorm:
