@@ -20,14 +20,14 @@ from .detector import (
     detect,
     fuse_scores,
     hierarchical_residuals,
+    learn_global_dictionaries,
     normalize_scores,
     orient_scores,
     residual_maps,
-    shr_detect,
     std_detect,
     wshr_detect,
 )
-from .dictlearn import OdlParams, init_dictionary, learn_global_dictionaries, odl_learn
+from .dictlearn import OdlParams, init_dictionary, odl_learn
 from .hierdict import WindowSpec, build_hierarchical, local_background, normalize_atoms
 from .metrics import RocCurve, auc, compare, roc, write_comparison
 from .predetect import ace_detect, cem_detect, select_training_sets

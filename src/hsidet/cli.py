@@ -25,7 +25,6 @@ from .detector import METHODS, detect
 from .hierdict import WindowSpec
 from .metrics import compare as compare_maps
 from .metrics import write_comparison
-from .predetect import background_count
 from .synth import PRESETS, generate
 
 log = logging.getLogger("hsidet")
@@ -68,6 +67,28 @@ def _write_manifest(out_dir: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _load_inputs(cube_path: str, signature_path: str, mask_path: str | None = None):
+    """Load a cube, its target signature and optionally its mask; a signature
+    or mask that does not fit the cube raises ``FormatError`` naming both
+    files.  Returns (cube, signature, mask or None)."""
+    cube = hio.load_cube(cube_path)
+    signature = hio.load_signature(signature_path)
+    if signature.shape != (cube.bands,):
+        raise hio.FormatError(f"{signature_path}: {signature.size} bands do not match "
+                              f"the {cube.bands} bands of {cube_path}")
+    if mask_path is None:
+        return cube, signature, None
+    mask = hio.load_mask(mask_path)
+    _check_fits(mask_path, mask.labels.shape, cube_path, (cube.height, cube.width))
+    return cube, signature, mask
+
+
+def _check_fits(path: str, shape: tuple, ref_path: str, ref_shape: tuple) -> None:
+    if shape != ref_shape:
+        raise hio.FormatError(f"{path}: (height, width) {shape} does not match "
+                              f"{ref_shape} of {ref_path}")
+
+
 def _write_scene(out_dir: str, cube, mask, signature) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     paths = {
@@ -95,8 +116,7 @@ def cmd_synth(args) -> int:
 
 def cmd_detect(args) -> int:
     config = _config_from_args(args, DetectorConfig())
-    cube = hio.load_cube(args.cube)
-    signature = hio.load_signature(args.signature)
+    cube, signature, _ = _load_inputs(args.cube, args.signature)
     smap = detect(cube, signature, config, [args.method])[args.method]
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, args.method)
@@ -126,7 +146,11 @@ def cmd_eval(args) -> int:
             raise ValueError(f"score map name {name!r} is given more than once")
         paths[name] = path
     truth = hio.load_mask(args.mask)
-    named = [(name, hio.load_scoremap(path)) for name, path in paths.items()]
+    named = []
+    for name, path in paths.items():
+        smap = hio.load_scoremap(path)
+        _check_fits(path, smap.values.shape, args.mask, truth.labels.shape)
+        named.append((name, smap))
     rows = compare_maps(named, truth)
     write_comparison(rows, args.out)
     for name, value, _ in rows:
@@ -135,8 +159,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    # Methods, config and (for a preset) the training-set sizes are checked
-    # before anything is written.
+    # Every map and AUC is computed before --out is created, so a failure
+    # writes nothing.
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValueError(f"no method given (choose from {','.join(METHODS)})")
@@ -148,24 +172,21 @@ def cmd_compare(args) -> int:
     config = _config_from_args(
         args, preset_config(args.preset) if args.preset else DetectorConfig())
     if args.preset:
-        spec = PRESETS[args.preset]
-        background_count(spec.width * spec.height, config.n_target_train, config.bg_fraction)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    if args.preset:
         cube, mask, signature = generate(PRESETS[args.preset])
-        scene_paths = _write_scene(out, cube, mask, signature)
     else:
-        cube = hio.load_cube(args.cube)
-        mask = hio.load_mask(args.mask)
-        signature = hio.load_signature(args.signature)
-        scene_paths = {"cube": args.cube, "mask": args.mask, "signature": args.signature}
+        cube, signature, mask = _load_inputs(args.cube, args.signature, args.mask)
 
     log.info("running %s", ",".join(methods))
     maps = detect(cube, signature, config, methods)
+    rows = compare_maps(list(maps.items()), mask)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
+    if args.preset:
+        scene_paths = _write_scene(out, cube, mask, signature)
+    else:
+        scene_paths = {"cube": args.cube, "mask": args.mask, "signature": args.signature}
     for m, smap in maps.items():
         hio.save_scoremap(smap, os.path.join(out, m))
-    rows = compare_maps(list(maps.items()), mask)
     write_comparison(rows, out)
     _write_manifest(out, {
         "command": "compare", "preset": args.preset, "methods": methods,

@@ -1,5 +1,7 @@
-"""Per-pixel scoring: residual maps, min-max score normalization, and
-weighted fusion of target- and background-dictionary scores.
+"""One cube's pipeline and its per-pixel scoring: CEM pre-detection, the
+training sets it selects, the learned target and global background
+dictionaries, residual maps, min-max score normalization, and weighted
+fusion of target- and background-dictionary scores.
 
 The residual of a pixel against the target dictionary and against its
 per-pixel hierarchical background dictionary are min-max normalized over
@@ -16,10 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import predetect
+from . import dictlearn, predetect
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
-from .dictlearn import DictionaryFit, learn_global_dictionaries
 from .hierdict import NORM_TOLERANCE, WindowSpec, unit_pixels, window_rings
 from .sparse import SolverParams, residual_norm, sparse_codes
 
@@ -132,9 +133,41 @@ def fuse_scores(S_t: ScoreMap, S_b: ScoreMap, gamma: float) -> ScoreMap:
     return ScoreMap((1.0 - gamma) * S_t.values + gamma * S_b.values)
 
 
-class Fit(DictionaryFit):
-    """One cube's pipeline: the stages of ``DictionaryFit``, then the target
-    and hierarchical-background residual maps, each computed at most once."""
+class Fit:
+    """One cube's pipeline, each stage run on first use and kept: the CEM
+    map, the training sets it selects, the target dictionary ``D_t``, the
+    global background dictionary ``D_b`` (never learned if unread), and the
+    target and hierarchical-background residual maps.
+
+    Stages reach ``predetect`` and ``dictlearn`` through module attributes
+    looked up at call time, so a patched or traced function sees every
+    call."""
+
+    def __init__(self, cube: HsiCube, d: np.ndarray, config: DetectorConfig):
+        self.cube, self.d, self.config = cube, d, config
+
+    @cached_property
+    def cem(self) -> ScoreMap:
+        return predetect.cem_detect(self.cube, self.d)
+
+    @cached_property
+    def training_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        c = self.config
+        return predetect.select_training_sets(self.cem, self.cube, c.n_target_train,
+                                              c.bg_fraction)
+
+    @cached_property
+    def D_t(self) -> Dictionary:
+        return self._learn(self.training_sets[0], self.config.n_target_atoms, self.config.seed)
+
+    @cached_property
+    def D_b(self) -> Dictionary:
+        return self._learn(self.training_sets[1], self.config.n_bg_atoms, self.config.seed + 1)
+
+    def _learn(self, samples: np.ndarray, n_atoms: int, seed: int) -> Dictionary:
+        c = self.config
+        return dictlearn.odl_learn(samples, dictlearn.OdlParams(
+            n_atoms=n_atoms, lam=c.lam, epochs=c.odl_epochs, sparsity=c.k, seed=seed))
 
     @cached_property
     def residuals(self) -> tuple[ScoreMap, ScoreMap]:
@@ -142,16 +175,26 @@ class Fit(DictionaryFit):
         return residual_maps(self.cube, self.D_t, self.D_b, self.config.window, params)
 
 
+def learn_global_dictionaries(
+    cube: HsiCube,
+    d: np.ndarray,
+    config: DetectorConfig,
+) -> tuple[Dictionary, Dictionary]:
+    """Pre-detect with CEM, split training sets, learn both global dictionaries.
+
+    Returns (target_dictionary, global_background_dictionary).
+    """
+    fit = Fit(cube, d, config)
+    return fit.D_t, fit.D_b
+
+
 def hierarchical_residuals(
     cube: HsiCube,
     d: np.ndarray,
     config: DetectorConfig,
 ) -> tuple[ScoreMap, ScoreMap]:
-    """Run the pipeline up to the residual maps: ``learn_global_dictionaries``
-    (pre-detection, both dictionaries), then ``Fit.residuals``."""
-    fit = Fit(cube, d, config)
-    fit.D_t, fit.D_b = learn_global_dictionaries(cube, d, config)
-    return fit.residuals
+    """Run the pipeline up to the target and background residual maps."""
+    return Fit(cube, d, config).residuals
 
 
 def _fuse(residuals, config: DetectorConfig, gamma: float) -> ScoreMap:
@@ -163,11 +206,6 @@ def _fuse(residuals, config: DetectorConfig, gamma: float) -> ScoreMap:
 def wshr_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:
     """Full weighted hierarchical sparse-representation detector."""
     return _fuse(hierarchical_residuals(cube, d, config), config, config.gamma)
-
-
-def shr_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:
-    """Unweighted ablation: identical pipeline fused with gamma = 0.5."""
-    return _fuse(hierarchical_residuals(cube, d, config), config, 0.5)
 
 
 def _std(fit: Fit) -> ScoreMap:

@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .config import DetectorConfig
-from .cube import Dictionary, HsiCube, ScoreMap
-from .predetect import cem_detect, select_training_sets
-from .sparse import SolverParams, sparse_codes
+from .cube import Dictionary
+from .sparse import SolverParams, _row_dots, sparse_codes
 
 _JITTER_SCALE = 0.01
 
@@ -61,17 +58,17 @@ def init_dictionary(samples, n_atoms: int, seed: int) -> Dictionary:
     nonzero = X[np.linalg.norm(X, axis=1) > 0.0]
     n = nonzero.shape[0]
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    cols = []
-    for i in range(n_atoms):
-        atom = nonzero[perm[i % n]].copy()
-        if i >= n:
-            atom = atom + rng.normal(0.0, _JITTER_SCALE * np.linalg.norm(atom), atom.shape)
-        norm = np.linalg.norm(atom)
-        if norm == 0.0:
-            raise ValueError("zero-norm atom during initialization")
-        cols.append(atom / norm)
-    return Dictionary(np.stack(cols, axis=1))
+    atoms = nonzero[rng.permutation(n)[np.arange(n_atoms) % n]]
+    # Atom i >= n is its sample plus N(0, (0.01 * ||sample||)^2) noise per
+    # band, drawn in atom order.  Norms are square roots of row dot
+    # products, as np.linalg.norm forms them.
+    cycled = atoms[n:]
+    noise = rng.standard_normal(cycled.shape)
+    cycled += _JITTER_SCALE * np.sqrt(_row_dots(cycled))[:, None] * noise
+    norms = np.sqrt(_row_dots(atoms))
+    if np.any(norms == 0.0):
+        raise ValueError("zero-norm atom during initialization")
+    return Dictionary(np.ascontiguousarray((atoms / norms[:, None]).T))
 
 
 def _update_atoms(D, A, B, coupled) -> None:
@@ -91,7 +88,7 @@ def _update_atoms(D, A, B, coupled) -> None:
     if single.size:
         a = diag[single]
         U = np.ascontiguousarray((D[:, single] + (B[:, single] - D[:, single] * a) / a).T)
-        norms = np.sqrt((U[:, None, :] @ U[:, :, None])[:, 0, 0])
+        norms = np.sqrt(_row_dots(U))
         keep = norms > 0.0
         D[:, single[keep]] = (U[keep] / norms[keep, None]).T
     for j in np.flatnonzero(active & coupled):
@@ -165,47 +162,3 @@ def odl_learn(
 
     D /= np.linalg.norm(D, axis=0)
     return Dictionary(D)
-
-
-class DictionaryFit:
-    """One cube's learning stages, each run on first use and kept: the CEM
-    map, the training sets it selects, the target dictionary ``D_t`` and the
-    global background dictionary ``D_b`` (never learned if unread)."""
-
-    def __init__(self, cube: HsiCube, d: np.ndarray, config: DetectorConfig):
-        self.cube, self.d, self.config = cube, d, config
-
-    @cached_property
-    def cem(self) -> ScoreMap:
-        return cem_detect(self.cube, self.d)
-
-    @cached_property
-    def training_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        c = self.config
-        return select_training_sets(self.cem, self.cube, c.n_target_train, c.bg_fraction)
-
-    @cached_property
-    def D_t(self) -> Dictionary:
-        return self._learn(self.training_sets[0], self.config.n_target_atoms, self.config.seed)
-
-    @cached_property
-    def D_b(self) -> Dictionary:
-        return self._learn(self.training_sets[1], self.config.n_bg_atoms, self.config.seed + 1)
-
-    def _learn(self, samples: np.ndarray, n_atoms: int, seed: int) -> Dictionary:
-        c = self.config
-        return odl_learn(samples, OdlParams(n_atoms=n_atoms, lam=c.lam, epochs=c.odl_epochs,
-                                            sparsity=c.k, seed=seed))
-
-
-def learn_global_dictionaries(
-    cube: HsiCube,
-    d: np.ndarray,
-    config: DetectorConfig,
-) -> tuple[Dictionary, Dictionary]:
-    """Pre-detect with CEM, split training sets, learn both global dictionaries.
-
-    Returns (target_dictionary, global_background_dictionary).
-    """
-    fit = DictionaryFit(cube, d, config)
-    return fit.D_t, fit.D_b

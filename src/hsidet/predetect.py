@@ -78,25 +78,6 @@ def ace_detect(cube: HsiCube, d: np.ndarray) -> ScoreMap:
     return ScoreMap(scores.reshape(cube.height, cube.width))
 
 
-def background_count(n_pixels: int, n_target: int, bg_fraction: float) -> int:
-    """Size of the background training set, floor(bg_fraction * n_pixels),
-    of an image of ``n_pixels`` pixels; raises ``ValueError`` unless both
-    training sets are nonempty and fit in the image together."""
-    if n_target < 1:
-        raise ValueError("n_target must be >= 1")
-    if not 0.0 < bg_fraction < 1.0:
-        raise ValueError("bg_fraction must be in (0, 1)")
-    n_bg = int(np.floor(bg_fraction * n_pixels))
-    if n_bg == 0:
-        raise ValueError(
-            f"bg_fraction {bg_fraction} selects no background pixels out of {n_pixels}")
-    if n_target + n_bg > n_pixels:
-        raise ValueError(
-            f"requested {n_target} target + {n_bg} background samples from {n_pixels} pixels"
-        )
-    return n_bg
-
-
 def select_training_sets(
     scores: ScoreMap,
     cube: HsiCube,
@@ -113,8 +94,18 @@ def select_training_sets(
     """
     if scores.height != cube.height or scores.width != cube.width:
         raise ValueError("score map shape does not match cube")
+    if n_target < 1:
+        raise ValueError("n_target must be >= 1")
+    if not 0.0 < bg_fraction < 1.0:
+        raise ValueError("bg_fraction must be in (0, 1)")
     N = cube.n_pixels
-    n_bg = background_count(N, n_target, bg_fraction)
+    n_bg = int(np.floor(bg_fraction * N))
+    if n_bg == 0:
+        raise ValueError(f"bg_fraction {bg_fraction} selects no background pixels out of {N}")
+    if n_target + n_bg > N:
+        raise ValueError(
+            f"requested {n_target} target + {n_bg} background samples from {N} pixels"
+        )
     flat = scores.values.ravel()
     order = np.lexsort((np.arange(N), flat))    # ascending score, ties by index
     bg_idx = order[:n_bg]

@@ -179,25 +179,25 @@ def _make_code(support, a, n_atoms) -> SparseCode:
     return SparseCode(idx, vals, n_atoms)
 
 
-def _enumerate_supports(x, mat, cap, params, trace):
-    n_atoms = mat.shape[1]
+def _enumerate_supports(x, mat, atoms, params):
+    """Exact code of ``x`` over every support of at most ``max_nonzeros`` of
+    the columns ``atoms`` (increasing) of ``mat``.  NumPy lays out a
+    gathered block ``mat[:, support]`` column by column whatever the
+    layout of ``mat``, so the code is the one the atoms' own dictionary
+    gives, bit for bit."""
     X = x[None]
     xx = _row_dots(X)
     best_obj = 0.5 * float(xx[0])
     best_support, best_a = (), np.zeros(0)
-    if trace is not None:
-        trace.append(best_obj)
-    for size in range(1, cap + 1):
-        for support in combinations(range(n_atoms), size):
+    for size in range(1, min(params.max_nonzeros, len(atoms)) + 1):
+        for support in combinations(atoms, size):
             a, obj = _solve_support(mat[:, support][None], X, xx, params.lam)
             if obj[0] < best_obj - 1e-15:
                 best_obj, best_support, best_a = float(obj[0]), support, a[0]
-                if trace is not None:
-                    trace.append(best_obj)
-    return _make_code(best_support, best_a, n_atoms)
+    return _make_code(best_support, best_a, mat.shape[1])
 
 
-def _greedy(X, mat, cap, params, trace, mask=None):
+def _greedy(X, mat, cap, params, mask=None):
     """Greedy codes of the rows of X, admitting atoms in lockstep.
 
     Forward admission: each row adds the atom most correlated with its
@@ -208,8 +208,8 @@ def _greedy(X, mat, cap, params, trace, mask=None):
     A (n, atoms) boolean ``mask`` confines each row to its own atoms: the
     others' correlations are zero, so they never clear the threshold, and
     each row's correlations are its own vector-matrix product, the BLAS
-    call a one-row stack of its own dictionary makes.  ``trace`` follows the
-    objective of a one-row stack.
+    call a one-row stack of its own dictionary makes, and a row stops once
+    its own atoms are used up.
     """
     n, n_atoms = X.shape[0], mat.shape[1]
     lam = params.lam
@@ -221,8 +221,6 @@ def _greedy(X, mat, cap, params, trace, mask=None):
     xx = _row_dots(X)
     best = 0.5 * xx
     support, coef, Ds = np.zeros((n, 0), dtype=np.intp), np.zeros((n, 0)), None
-    if trace is not None:
-        trace.append(float(best[0]))
 
     def stop(rows):
         for i in rows:
@@ -262,17 +260,23 @@ def _greedy(X, mat, cap, params, trace, mask=None):
                 v[accept] for v in (live, Xl, xx, trial, a, obj, Ds))
             M = None if M is None else M[accept]
         support, coef, best = trial, a, obj
-        if trace is not None:
-            trace.append(float(obj[0]))
     stop(range(live.size))
     return codes
 
 
-def _enumerated(n_atoms, cap):
-    return sum(comb(n_atoms, s) for s in range(1, cap + 1)) <= _ENUM_LIMIT
+def _enumerated_size(max_nonzeros, n_atoms):
+    """Largest dictionary size, up to ``n_atoms``, whose supports of at most
+    ``max_nonzeros`` atoms number at most ``_ENUM_LIMIT``."""
+    def supports(size):
+        return sum(comb(size, s) for s in range(1, min(max_nonzeros, size) + 1))
+
+    size = 0
+    while size < n_atoms and supports(size + 1) <= _ENUM_LIMIT:
+        size += 1
+    return size
 
 
-def _code_rows(X, D, params, trace, mask=None):
+def _code_rows(X, D, params, mask=None):
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite input spectrum")
     mat = D.columns
@@ -280,56 +284,36 @@ def _code_rows(X, D, params, trace, mask=None):
         raise ValueError(
             f"spectrum length {X.shape[1:]} does not match dictionary bands {mat.shape[0]}"
         )
-    n_atoms = mat.shape[1]
+    n, n_atoms = X.shape[0], mat.shape[1]
     cap = min(params.max_nonzeros, n_atoms)
-
-    # Small dictionaries: exact sweep over every support, row by row.
-    # Greedy selection can land in local optima on coherent dictionaries,
-    # and at this size exactness is cheap.
-    if mask is None and _enumerated(n_atoms, cap):
-        return [_enumerate_supports(x, mat, cap, params, trace) for x in X]
-    n = X.shape[0]
     codes: list = [None] * n
-    stacked = np.ones(n, dtype=bool)
-    if mask is not None:
-        # A row whose own dictionary is enumerated, or whose cap is below the
-        # stack's, is coded alone against that dictionary, laid out as a
-        # concatenation of its atoms is.
-        for i, count in enumerate(mask.sum(axis=1).tolist()):
-            own_cap = min(params.max_nonzeros, count)
-            if own_cap < cap or _enumerated(count, own_cap):
-                own = np.flatnonzero(mask[i])
-                code = _code_rows(X[i][None], Dictionary(np.ascontiguousarray(mat[:, own])),
-                                  params, trace)[0]
-                codes[i] = SparseCode(own[code.indices], code.coefficients, n_atoms)
-                stacked[i] = False
+    # A row's own dictionary is its mask row's atoms, or else all of D.  One
+    # small enough is swept exactly, support by support: greedy selection
+    # can land in local optima on coherent dictionaries, and at this size
+    # exactness is cheap.  Every other row joins a stacked greedy pass.
+    counts = np.full(n, n_atoms) if mask is None else mask.sum(axis=1)
+    enumerated = counts <= _enumerated_size(params.max_nonzeros, n_atoms)
+    for i in np.flatnonzero(enumerated):
+        atoms = range(n_atoms) if mask is None else np.flatnonzero(mask[i]).tolist()
+        codes[i] = _enumerate_supports(X[i], mat, atoms, params)
     # Stack heights keep the correlation block and the largest sign-pattern
     # residual block near _STACK_ELEMENTS doubles each.  Stacks are slices
     # of X, so every row keeps the caller's layout.
     rows = max(1, _STACK_ELEMENTS // max(n_atoms, mat.shape[0] << min(cap, _SIGN_ENUM_LIMIT)))
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], stacked, [0]))))
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], ~enumerated, [0]))))
     for lo, hi in zip(edges[::2], edges[1::2]):
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
-            codes[start:stop] = _greedy(X[start:stop], mat, cap, params, trace,
+            codes[start:stop] = _greedy(X[start:stop], mat, cap, params,
                                         None if mask is None else mask[start:stop])
     return codes
 
 
-def sparse_code(
-    x: np.ndarray,
-    D: Dictionary,
-    params: SolverParams,
-    trace: list | None = None,
-) -> SparseCode:
-    """Solve for the capped-support L1 code of ``x`` against ``D``.
-
-    The support never exceeds ``params.max_nonzeros``.  If ``trace`` is a
-    list, the accepted objective values are appended to it; the sequence is
-    non-increasing.
-    """
+def sparse_code(x: np.ndarray, D: Dictionary, params: SolverParams) -> SparseCode:
+    """Solve for the capped-support L1 code of ``x`` against ``D``; the
+    support never exceeds ``params.max_nonzeros``."""
     x = np.asarray(x, dtype=np.float64)
-    return _code_rows(x[None], D, params, trace)[0]
+    return _code_rows(x[None], D, params)[0]
 
 
 def sparse_codes(
@@ -359,7 +343,7 @@ def sparse_codes(
         mask = np.asarray(mask)
         if mask.dtype != bool or mask.shape != (X.shape[0], D.n_atoms):
             raise ValueError("mask must be a boolean (n_spectra, atoms) array")
-    return _code_rows(X, D, params, None, mask)
+    return _code_rows(X, D, params, mask)
 
 
 def residual_norm(x: np.ndarray, D: Dictionary, code: SparseCode) -> float:

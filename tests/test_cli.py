@@ -163,6 +163,50 @@ class TestEvalCommand:
         assert "score map name 'a/b'" in capsys.readouterr().err
 
 
+class TestMismatchedInputs:
+    """A signature, mask or score map that does not fit fails right after
+    loading, names both files and writes nothing."""
+
+    def test_compare_mask_that_does_not_fit_the_cube(self, tmp_path, capsys):
+        paths = write_tiny_scene(str(tmp_path / "scene"))
+        bad = str(tmp_path / "other.mask")
+        labels = np.zeros((12, 10), dtype=np.uint8)
+        labels[0, 0] = 1
+        h.save_mask(h.GroundTruthMask(labels), bad)
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--cube", paths["cube"], "--signature", paths["signature"],
+                   "--mask", bad, "--methods", "cem,ace", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: (height, width) (12, 10) does not match (10, 10) of {paths['cube']}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "compare"])
+    def test_signature_of_the_wrong_length(self, tmp_path, capsys, command):
+        paths = write_tiny_scene(str(tmp_path / "scene"))
+        bad = str(tmp_path / "long.sig")
+        h.save_signature(np.full(7, 0.5), bad)
+        out = tmp_path / "o"
+        args = (["detect", "--method", "cem"] if command == "detect"
+                else ["compare", "--mask", paths["mask"], "--methods", "cem"])
+        rc = main(args + ["--cube", paths["cube"], "--signature", bad, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: 7 bands do not match the 6 bands of {paths['cube']}\n")
+        assert not out.exists()
+
+    def test_eval_map_that_the_mask_does_not_fit(self, tmp_path, capsys):
+        paths = write_tiny_scene(str(tmp_path / "scene"))
+        small = str(tmp_path / "small")
+        h.save_scoremap(h.ScoreMap(np.zeros((4, 5))), small)
+        out = tmp_path / "eval"
+        rc = main(["eval", "--scores", small, "--mask", paths["mask"], "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {small}: (height, width) (4, 5) does not match (10, 10) of {paths['mask']}\n")
+        assert not out.exists()
+
+
 class TestCompareCommand:
     def test_compare_on_files_runs_fast_methods(self, tmp_path, capsys):
         paths = write_tiny_scene(str(tmp_path / "scene"))
@@ -272,7 +316,6 @@ class TestOneFitPerCube:
         paths = write_tiny_scene(str(tmp_path / "scene"))
         calls = []
         count_calls(monkeypatch, calls, predetect, "cem_detect")
-        count_calls(monkeypatch, calls, dictlearn, "cem_detect")
         count_calls(monkeypatch, calls, dictlearn, "odl_learn")
         rc = main(["compare", "--cube", paths["cube"], "--signature", paths["signature"],
                    "--mask", paths["mask"], "--methods", "cem,ace,std,shr,wshr",

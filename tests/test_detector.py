@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 import hsidet as h
-from hsidet import detector, dictlearn, hierdict
+from hsidet import detector, dictlearn, hierdict, predetect
 
 
 def tiny_config(**overrides):
@@ -354,6 +354,30 @@ class TestWindowedCoder:
         assert calls == []
 
 
+class TestOneFit:
+    @pytest.mark.parametrize("entry", [
+        "hierarchical_residuals", "wshr_detect", "std_detect", "learn_global_dictionaries"])
+    def test_entry_point_builds_one_fit_that_runs_cem_once(self, monkeypatch, entry):
+        fits, cem_calls = [], []
+        cem = predetect.cem_detect
+
+        class CountingFit(detector.Fit):
+            def __init__(self, *args):
+                fits.append(args)
+                super().__init__(*args)
+
+        def counting_cem(*args):
+            cem_calls.append(args)
+            return cem(*args)
+
+        monkeypatch.setattr(detector, "Fit", CountingFit)
+        monkeypatch.setattr(predetect, "cem_detect", counting_cem)
+        cube, mask, signature = tiny_scene(seed=6)
+        getattr(h, entry)(cube, signature, tiny_config())
+        assert len(fits) == 1
+        assert len(cem_calls) == 1
+
+
 class TestPipeline:
     def test_wshr_deterministic_per_seed(self):
         cube, mask, signature = tiny_scene()
@@ -365,10 +389,8 @@ class TestPipeline:
     def test_shr_is_half_gamma_fusion(self):
         cube, mask, signature = tiny_scene(seed=1)
         config = tiny_config(gamma=0.5)
-        assert np.array_equal(
-            h.shr_detect(cube, signature, config).values,
-            h.wshr_detect(cube, signature, config).values,
-        )
+        maps = h.detect(cube, signature, config, ["shr", "wshr"])
+        assert np.array_equal(maps["shr"].values, maps["wshr"].values)
 
     def test_residuals_are_nonnegative(self):
         cube, mask, signature = tiny_scene(seed=2)

@@ -226,6 +226,20 @@ class TestStackedOdl:
         assert np.any(active & coupled) and np.any(active & ~coupled) and not active.all()
 
 
+def init_one_atom_at_a_time(X, n_atoms, seed):
+    nonzero = X[np.linalg.norm(X, axis=1) > 0.0]
+    n = nonzero.shape[0]
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    cols = []
+    for i in range(n_atoms):
+        atom = nonzero[perm[i % n]].copy()
+        if i >= n:
+            atom = atom + rng.normal(0.0, 0.01 * np.linalg.norm(atom), atom.shape)
+        cols.append(atom / np.linalg.norm(atom))
+    return np.stack(cols, axis=1)
+
+
 class TestInitDictionary:
     def test_atoms_drawn_from_samples(self):
         rng = np.random.default_rng(7)
@@ -234,6 +248,15 @@ class TestInitDictionary:
         normed = X / np.linalg.norm(X, axis=1, keepdims=True)
         for j in range(5):
             assert np.any(np.all(np.isclose(normed, D.columns[:, j], atol=1e-12), axis=1))
+
+    def test_matches_one_atom_at_a_time(self):
+        rng = np.random.default_rng(13)
+        for n, bands, n_atoms in ((20, 6, 5), (7, 30, 40), (3, 60, 1000)):
+            X = rng.normal(size=(n, bands)) * rng.uniform(0.01, 100.0)
+            X[0] = 0.0
+            D = h.init_dictionary(X, n_atoms, seed=n)
+            assert D.columns.flags.c_contiguous
+            assert D.columns.tobytes() == init_one_atom_at_a_time(X, n_atoms, n).tobytes()
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -292,6 +315,15 @@ class TestLearnGlobalDictionaries:
         fit = h.Fit(cube, d, config)
         assert fit.D_t.columns.tobytes() == D_t.columns.tobytes()
         assert calls == [config.n_target_atoms]  # D_b was never learned
+
+    def test_dictlearn_holds_only_odl(self):
+        # The pipeline's stages live in detector.Fit; dictlearn is the ODL
+        # algorithm alone.
+        borrowed = {name for name, value in vars(dictlearn).items()
+                    if getattr(value, "__module__", None) in
+                    ("hsidet.predetect", "hsidet.config", "hsidet.detector")}
+        assert borrowed == set()
+        assert not hasattr(dictlearn, "DictionaryFit")
 
     def test_default_atom_counts(self):
         config = h.DetectorConfig()

@@ -106,17 +106,6 @@ class TestSparseCode:
             code = h.sparse_code(x, h.Dictionary(D), params)
             assert h.residual_norm(x, h.Dictionary(D), code) <= np.linalg.norm(x) + 1e-9
 
-    def test_objective_trace_non_increasing(self):
-        rng = np.random.default_rng(7)
-        for n in (8, 300):  # enumeration path and greedy path
-            D = random_dictionary(rng, 10, n)
-            x = rng.normal(size=10)
-            trace = []
-            h.sparse_code(x, h.Dictionary(D), h.SolverParams(lam=0.1, max_nonzeros=3), trace=trace)
-            assert len(trace) >= 1
-            diffs = np.diff(trace)
-            assert np.all(diffs <= 1e-12)
-
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
         D = random_dictionary(rng, 9, 7)
@@ -141,7 +130,7 @@ def relative_gaps(cases):
         cap = min(params.max_nonzeros, n)
         assert sum(math.comb(n, s) for s in range(1, cap + 1)) > _ENUM_LIMIT
         greedy = solver_objective(x, D, h.sparse_code(x, h.Dictionary(D), params), params.lam)
-        best = solver_objective(x, D, _enumerate_supports(x, D, cap, params, None), params.lam)
+        best = solver_objective(x, D, _enumerate_supports(x, D, range(n), params), params.lam)
         assert best - 1e-12 <= greedy <= 0.5 * float(x @ x)
         gaps.append((greedy - best) / best)
     gaps = np.array(gaps)
@@ -384,6 +373,21 @@ class TestStackedCodes:
         assert_same_codes(got, want)
         counts = mask.sum(axis=1)
         assert counts.min() < 4 and counts.max() > 30
+        assert all(set(c.indices) <= set(np.flatnonzero(m)) for c, m in zip(got, mask))
+
+    def test_row_with_fewer_atoms_than_the_cap_stops_when_they_are_used_up(self):
+        # 10 own atoms at a cap of 12 are too many to enumerate, so the row
+        # joins the greedy stack and must stop after its tenth atom.
+        rng = np.random.default_rng(47)
+        D = random_dictionary(rng, 30, 40)
+        X = rng.normal(size=(3, 30))
+        mask = np.zeros((3, 40), dtype=bool)
+        mask[0, 5:15] = mask[1, 10:35] = mask[2] = True
+        params = h.SolverParams(lam=0.001, max_nonzeros=12)
+        got = h.sparse_codes(X, h.Dictionary(D), params, mask)
+        assert got[0].indices.tolist() == list(range(5, 15))
+        alone = h.sparse_code(X[0], h.Dictionary(np.ascontiguousarray(D[:, 5:15])), params)
+        assert np.allclose(got[0].coefficients, alone.coefficients, rtol=0, atol=1e-12)
         assert all(set(c.indices) <= set(np.flatnonzero(m)) for c, m in zip(got, mask))
 
     def test_stack_shapes(self):
