@@ -22,7 +22,7 @@ from . import dictlearn, predetect
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
 from .hierdict import NORM_TOLERANCE, WindowSpec, unit_pixels, window_rings
-from .sparse import SolverParams, residual_norm, sparse_codes
+from .sparse import SolverParams, _row_dots, block_dense, block_residuals, code_block
 
 
 def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
@@ -34,8 +34,9 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
     Yields, for each image row in turn, the row's spectra, the pool
     [shared | unit-norm nonzero pixels of the row's window band], the
     (width, pool atoms) mask of each pixel's atoms in the pool, and the
-    pixels' codes in pool columns.  An empty or all-zero-norm ring raises
-    ``ValueError`` naming the first such pixel in row-major order.
+    pixels' code block (``sparse.code_block``) in pool columns.  An empty
+    or all-zero-norm ring raises ``ValueError`` naming the first such pixel
+    in row-major order.
     """
     if shared.n_atoms == 0 and window is None:
         raise ValueError("both background dictionaries are empty")
@@ -57,16 +58,11 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
             band, rings = window_rings(nonzero, y, range(width), window)
             pool = Dictionary(np.hstack([shared.columns, unit[:, band]]))
             masks = np.hstack([every, rings])
-        yield row, pool, masks, sparse_codes(row, pool, params, masks)
+        yield row, pool, masks, code_block(row, pool, params, masks)
 
 
-def residual_maps(
-    cube: HsiCube,
-    D_t: Dictionary,
-    D_b_global: Dictionary,
-    window: WindowSpec | None,
-    params: SolverParams,
-) -> tuple[ScoreMap, ScoreMap]:
+def residual_maps(cube: HsiCube, D_t: Dictionary, D_b_global: Dictionary,
+                  window: WindowSpec | None, params: SolverParams) -> tuple[ScoreMap, ScoreMap]:
     """Residual of every pixel coded against the target dictionary alone and
     against its hierarchical background dictionary [D_b_global | its
     dual-window ring].  ``window=None`` codes against D_b_global alone, an
@@ -76,12 +72,10 @@ def residual_maps(
     # Every pixel shares D_t, so its codes are stacked.  The rows are strided
     # views of the cube like the per-pixel spectra, so BLAS rounds them alike.
     pixels = cube.data.reshape(cube.bands, -1).T
-    codes = sparse_codes(pixels, D_t, params)
-    r_t = np.array([residual_norm(x, D_t, c) for x, c in zip(pixels, codes)])
-    r_b = np.array([
-        residual_norm(x, pool, c)
-        for row, pool, _, row_codes in _ring_codes(cube, D_b_global, window, params)
-        for x, c in zip(row, row_codes)
+    r_t = block_residuals(pixels, D_t.columns, *code_block(pixels, D_t, params))
+    r_b = np.concatenate([
+        block_residuals(row, pool.columns, *block)
+        for row, pool, _, block in _ring_codes(cube, D_b_global, window, params)
     ])
     shape = (cube.height, cube.width)
     return ScoreMap(r_t.reshape(shape)), ScoreMap(r_b.reshape(shape))
@@ -175,24 +169,16 @@ class Fit:
         return residual_maps(self.cube, self.D_t, self.D_b, self.config.window, params)
 
 
-def learn_global_dictionaries(
-    cube: HsiCube,
-    d: np.ndarray,
-    config: DetectorConfig,
-) -> tuple[Dictionary, Dictionary]:
-    """Pre-detect with CEM, split training sets, learn both global dictionaries.
-
-    Returns (target_dictionary, global_background_dictionary).
-    """
+def learn_global_dictionaries(cube: HsiCube, d: np.ndarray,
+                              config: DetectorConfig) -> tuple[Dictionary, Dictionary]:
+    """Pre-detect with CEM, split training sets, learn both global
+    dictionaries.  Returns (target_dictionary, global_background_dictionary)."""
     fit = Fit(cube, d, config)
     return fit.D_t, fit.D_b
 
 
-def hierarchical_residuals(
-    cube: HsiCube,
-    d: np.ndarray,
-    config: DetectorConfig,
-) -> tuple[ScoreMap, ScoreMap]:
+def hierarchical_residuals(cube: HsiCube, d: np.ndarray,
+                           config: DetectorConfig) -> tuple[ScoreMap, ScoreMap]:
     """Run the pipeline up to the target and background residual maps."""
     return Fit(cube, d, config).residuals
 
@@ -213,16 +199,17 @@ def _std(fit: Fit) -> ScoreMap:
     params = SolverParams(lam=config.lam, max_nonzeros=config.k)
     n_t = D_t.n_atoms
     scores = []
-    for row, pool, masks, codes in _ring_codes(cube, D_t, config.window, params):
-        for spec, ring, code in zip(row, masks[:, n_t:], codes):
-            dense = code.dense()
-            # The gathered ring block has local_background's column layout,
-            # which the rounding of rec_b depends on.
-            ring = n_t + np.flatnonzero(ring)
-            rec_t = D_t.columns @ dense[:n_t]
-            rec_b = pool.columns[:, ring] @ dense[ring]
-            scores.append(float(np.linalg.norm(spec - rec_b) - np.linalg.norm(spec - rec_t)))
-    return ScoreMap(np.array(scores).reshape(cube.height, cube.width))
+    for row, pool, masks, block in _ring_codes(cube, D_t, config.window, params):
+        dense = block_dense(*block, pool.n_atoms)
+        rec_t = (D_t.columns[None] @ dense[:, :n_t, None])[:, :, 0]
+        # r_b spans each pixel's whole ring, zero coefficients included, in
+        # the ring's own column order: the rounding of rec_b depends on both.
+        ring = masks[:, n_t:]
+        cols = np.argsort(~ring, axis=1, kind="stable")[:, :ring.sum(axis=1).max()]
+        cols = np.where(np.take_along_axis(ring, cols, axis=1), n_t + cols, -1)
+        r_b = block_residuals(row, pool.columns, cols, np.take_along_axis(dense, cols, axis=1))
+        scores.append(r_b - np.sqrt(_row_dots(row - rec_t)))
+    return ScoreMap(np.concatenate(scores).reshape(cube.height, cube.width))
 
 
 def std_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:

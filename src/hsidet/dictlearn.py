@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import Dictionary
-from .sparse import SolverParams, _row_dots, sparse_codes
+from .sparse import SolverParams, _row_dots, block_dense, block_residuals, code_block
 
 _JITTER_SCALE = 0.01
 
@@ -98,11 +98,7 @@ def _update_atoms(D, A, B, coupled) -> None:
             D[:, j] = u / norm
 
 
-def odl_learn(
-    samples,
-    params: OdlParams,
-    objective_trace: list | None = None,
-) -> Dictionary:
+def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -> Dictionary:
     """Learn a unit-norm dictionary from spectra; deterministic given the seed.
 
     If ``objective_trace`` is a list it receives the mean surrogate objective
@@ -126,19 +122,18 @@ def odl_learn(
         for start in range(0, n, params.batch_size):
             batch = order[start:start + params.batch_size]
             # D only changes after the whole batch is coded.
-            codes = sparse_codes(X[batch], Dictionary(D), solver)
-            for i, code in zip(batch, codes):
-                x = X[i]
-                idx, c = code.indices, code.coefficients
-                used[idx] = True
-                if idx.size > 1:
-                    coupled[idx] = True
-                # Only the code's support moves A and B: the dense outer
-                # products add exact zeros everywhere else.
-                A[np.ix_(idx, idx)] += np.outer(c, c)
-                B[:, idx] += np.outer(x, c)
-                if objective_trace is not None:
-                    a = code.dense()
+            support, coef = code_block(X[batch], Dictionary(D), solver)
+            atoms = support >= 0
+            used[support[atoms]] = True
+            coupled[support[atoms & (atoms.sum(axis=1) > 1)[:, None]]] = True
+            # Only the codes' supports move A and B, one sample after
+            # another: the dense outer products add exact zeros elsewhere.
+            i, p, q = np.nonzero(atoms[:, :, None] & atoms[:, None, :])
+            np.add.at(A, (support[i, p], support[i, q]), coef[i, p] * coef[i, q])
+            i, p = np.nonzero(atoms)
+            np.add.at(B.T, support[i, p], X[batch[i]] * coef[i, p, None])
+            if objective_trace is not None:
+                for x, a in zip(X[batch], block_dense(support, coef, k)):
                     r = x - D @ a
                     epoch_obj += 0.5 * float(r @ r) + params.lam * float(np.abs(a).sum())
             _update_atoms(D, A, B, coupled)
@@ -149,8 +144,7 @@ def odl_learn(
     if dead.size:
         # Replace dead atoms with the worst-reconstructed (largest-residual)
         # training samples, normalized.
-        codes = sparse_codes(X, Dictionary(D), solver)
-        residuals = np.array([np.linalg.norm(x - D @ c.dense()) for x, c in zip(X, codes)])
+        residuals = block_residuals(X, D, *code_block(X, Dictionary(D), solver))
         worst = np.argsort(-residuals)
         for pos, j in enumerate(dead):
             repl = X[worst[pos % n]]

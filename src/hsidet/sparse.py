@@ -10,11 +10,16 @@ Batch-OMP (Rubinstein, Zibulevsky & Elad 2008); a single spectrum is a
 stack of one row.  Spectra whose dictionaries are different column subsets
 of one pool matrix, such as pixels' [global | dual-window ring]
 dictionaries, share a stack too: a per-row mask keeps each row to its own
-columns.  Either way each fixed-support
-subproblem is solved exactly: for supports up to ``_SIGN_ENUM_LIMIT``
-atoms by enumerating sign patterns of the stationarity system, beyond that
-by soft-thresholded coordinate descent in Gram space.  Coefficient signs
-are unconstrained.
+columns.  Either way each fixed-support subproblem is solved exactly: for
+supports up to ``_SIGN_ENUM_LIMIT`` atoms by enumerating sign patterns of
+the stationarity system, beyond that by soft-thresholded coordinate descent
+in Gram space.  Coefficient signs are unconstrained.
+
+A stack's codes are one block (``code_block``): (n, cap) atom indices, each
+row's ascending and then -1 padding, and (n, cap) coefficients, 0.0 at the
+padding, which an exact-zero coefficient joins.  The pipeline reads blocks
+(``block_residuals``, ``block_dense``); only the public ``sparse_code`` and
+``sparse_codes`` build ``SparseCode``s.
 """
 
 from __future__ import annotations
@@ -172,19 +177,12 @@ def _row_by_row(Ds, X, xx, lam):
     return np.concatenate([a for a, _ in solved]), np.concatenate([o for _, o in solved])
 
 
-def _make_code(support, a, n_atoms) -> SparseCode:
-    items = sorted((j, c) for j, c in zip(support, a) if c != 0.0)
-    idx = np.array([j for j, _ in items], dtype=np.intp)
-    vals = np.array([c for _, c in items], dtype=np.float64)
-    return SparseCode(idx, vals, n_atoms)
-
-
 def _enumerate_supports(x, mat, atoms, params):
     """Exact code of ``x`` over every support of at most ``max_nonzeros`` of
-    the columns ``atoms`` (increasing) of ``mat``.  NumPy lays out a
-    gathered block ``mat[:, support]`` column by column whatever the
-    layout of ``mat``, so the code is the one the atoms' own dictionary
-    gives, bit for bit."""
+    the columns ``atoms`` (increasing) of ``mat``, as its support (a tuple
+    of columns) and coefficients.  NumPy lays out a gathered block
+    ``mat[:, support]`` column by column whatever the layout of ``mat``, so
+    the code is the one the atoms' own dictionary gives, bit for bit."""
     X = x[None]
     xx = _row_dots(X)
     best_obj = 0.5 * float(xx[0])
@@ -194,26 +192,27 @@ def _enumerate_supports(x, mat, atoms, params):
             a, obj = _solve_support(mat[:, support][None], X, xx, params.lam)
             if obj[0] < best_obj - 1e-15:
                 best_obj, best_support, best_a = float(obj[0]), support, a[0]
-    return _make_code(best_support, best_a, mat.shape[1])
+    return best_support, best_a
 
 
 def _greedy(X, mat, cap, params, mask=None):
-    """Greedy codes of the rows of X, admitting atoms in lockstep.
+    """Greedy codes of the rows of X as a block, atoms in admission order.
 
-    Forward admission: each row adds the atom most correlated with its
-    residual, then re-solves its active-set subproblem exactly; a row stops
-    when no atom clears the soft threshold or the re-solve does not lower
-    its objective.  Every live row at step t tries a support of t + 1 atoms,
-    so the correlations are one GEMM and the re-solves one stacked solve.
+    Forward admission in lockstep: each row adds the atom most correlated
+    with its residual, then re-solves its active-set subproblem exactly; a
+    row stops when no atom clears the soft threshold or the re-solve does
+    not lower its objective.  Every live row at step t tries a support of
+    t + 1 atoms, so the correlations are one GEMM and the re-solves one
+    stacked solve.
     A (n, atoms) boolean ``mask`` confines each row to its own atoms: the
     others' correlations are zero, so they never clear the threshold, and
     each row's correlations are its own vector-matrix product, the BLAS
     call a one-row stack of its own dictionary makes, and a row stops once
     its own atoms are used up.
     """
-    n, n_atoms = X.shape[0], mat.shape[1]
+    n = X.shape[0]
     lam = params.lam
-    codes: list = [None] * n
+    out = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))
     # State of the rows still admitting atoms, compacted as rows stop: their
     # indices, spectra, atom masks, squared norms, objectives, supports (in
     # admission order), coefficients and support columns.
@@ -221,11 +220,6 @@ def _greedy(X, mat, cap, params, mask=None):
     xx = _row_dots(X)
     best = 0.5 * xx
     support, coef, Ds = np.zeros((n, 0), dtype=np.intp), np.zeros((n, 0)), None
-
-    def stop(rows):
-        for i in rows:
-            codes[live[i]] = _make_code(support[i], coef[i], n_atoms)
-
     for step in range(cap):
         R = Xl - (Ds @ coef[:, :, None])[:, :, 0] if step else Xl
         if M is None:
@@ -241,9 +235,8 @@ def _greedy(X, mat, cap, params, mask=None):
         # one-atom Gram right-hand side is a BLAS dot product, whose rounding
         # depends on the stride of x.  Later steps drop the rows that stop.
         if step and not grow.all():
-            stop(np.flatnonzero(~grow))
             if not grow.any():
-                return codes
+                break
             live, Xl, xx, best, support, coef, j = (
                 v[grow] for v in (live, Xl, xx, best, support, coef, j))
             M = None if M is None else M[grow]
@@ -252,16 +245,15 @@ def _greedy(X, mat, cap, params, mask=None):
         Ds = _columns(mat, trial)
         a, obj = _solve_support(Ds, Xl, xx, lam)
         accept = grow & (obj < best - 1e-15)
+        if not accept.any():
+            break
         if not accept.all():
-            stop(np.flatnonzero(~accept))
-            if not accept.any():
-                return codes
             live, Xl, xx, trial, a, obj, Ds = (
                 v[accept] for v in (live, Xl, xx, trial, a, obj, Ds))
             M = None if M is None else M[accept]
         support, coef, best = trial, a, obj
-    stop(range(live.size))
-    return codes
+        out[0][live, :step + 1], out[1][live, :step + 1] = support, coef
+    return out
 
 
 def _enumerated_size(max_nonzeros, n_atoms):
@@ -276,7 +268,10 @@ def _enumerated_size(max_nonzeros, n_atoms):
     return size
 
 
-def _code_rows(X, D, params, mask=None):
+def code_block(X: np.ndarray, D: Dictionary, params: SolverParams,
+               mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The codes ``sparse_codes`` gives the rows of the float (n, bands)
+    array ``X``, as one block."""
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite input spectrum")
     mat = D.columns
@@ -286,7 +281,7 @@ def _code_rows(X, D, params, mask=None):
         )
     n, n_atoms = X.shape[0], mat.shape[1]
     cap = min(params.max_nonzeros, n_atoms)
-    codes: list = [None] * n
+    support, coef = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))
     # A row's own dictionary is its mask row's atoms, or else all of D.  One
     # small enough is swept exactly, support by support: greedy selection
     # can land in local optima on coherent dictionaries, and at this size
@@ -295,7 +290,8 @@ def _code_rows(X, D, params, mask=None):
     enumerated = counts <= _enumerated_size(params.max_nonzeros, n_atoms)
     for i in np.flatnonzero(enumerated):
         atoms = range(n_atoms) if mask is None else np.flatnonzero(mask[i]).tolist()
-        codes[i] = _enumerate_supports(X[i], mat, atoms, params)
+        best, a = _enumerate_supports(X[i], mat, atoms, params)
+        support[i, :len(best)], coef[i, :len(best)] = best, a
     # Stack heights keep the correlation block and the largest sign-pattern
     # residual block near _STACK_ELEMENTS doubles each.  Stacks are slices
     # of X, so every row keeps the caller's layout.
@@ -304,24 +300,23 @@ def _code_rows(X, D, params, mask=None):
     for lo, hi in zip(edges[::2], edges[1::2]):
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
-            codes[start:stop] = _greedy(X[start:stop], mat, cap, params,
-                                        None if mask is None else mask[start:stop])
-    return codes
+            support[start:stop], coef[start:stop] = _greedy(
+                X[start:stop], mat, cap, params, None if mask is None else mask[start:stop])
+    # Exact zeros are padding too; each row's atoms ascend.
+    pad = coef == 0.0
+    order = np.argsort(np.where(pad, n_atoms, support), axis=1)
+    return (np.take_along_axis(np.where(pad, -1, support), order, axis=1),
+            np.take_along_axis(np.where(pad, 0.0, coef), order, axis=1))
 
 
 def sparse_code(x: np.ndarray, D: Dictionary, params: SolverParams) -> SparseCode:
     """Solve for the capped-support L1 code of ``x`` against ``D``; the
     support never exceeds ``params.max_nonzeros``."""
-    x = np.asarray(x, dtype=np.float64)
-    return _code_rows(x[None], D, params)[0]
+    return sparse_codes(np.asarray(x, dtype=np.float64)[None], D, params)[0]
 
 
-def sparse_codes(
-    X: np.ndarray,
-    D: Dictionary,
-    params: SolverParams,
-    mask: np.ndarray | None = None,
-) -> list[SparseCode]:
+def sparse_codes(X: np.ndarray, D: Dictionary, params: SolverParams,
+                 mask: np.ndarray | None = None) -> list[SparseCode]:
     """Codes of the rows of ``X`` (n_spectra, bands) against one dictionary,
     computed together.  Each is the code ``sparse_code`` gives its row, up
     to how a tie between atom correlations within rounding is broken: a
@@ -343,7 +338,28 @@ def sparse_codes(
         mask = np.asarray(mask)
         if mask.dtype != bool or mask.shape != (X.shape[0], D.n_atoms):
             raise ValueError("mask must be a boolean (n_spectra, atoms) array")
-    return _code_rows(X, D, params, mask)
+    support, coef = code_block(X, D, params, mask)
+    return [SparseCode(s[s >= 0], c[s >= 0], D.n_atoms) for s, c in zip(support, coef)]
+
+
+def block_residuals(X, mat, support, coef) -> np.ndarray:
+    """Norms of x - mat[:, s] @ c for the rows x of X, s a row's ``support``
+    up to its first -1 (zero coefficients included) and c its ``coef``.  Rows
+    of one support size are formed together, each bit for bit as
+    ``residual_norm`` forms it."""
+    R = np.array(X, dtype=np.float64, order="C")  # unit-stride rows, as residual_norm's r
+    counts = (support >= 0).sum(axis=1)
+    for size in set(counts.tolist()) - {0}:
+        rows = np.flatnonzero(counts == size)
+        R[rows] -= (_columns(mat, support[rows, :size]) @ coef[rows, :size, None])[:, :, 0]
+    return np.sqrt(_row_dots(R))
+
+
+def block_dense(support, coef, n_atoms) -> np.ndarray:
+    """A block's codes as (n, n_atoms) coefficient vectors."""
+    out = np.zeros((len(support), n_atoms + 1))  # padding fills the spare last column
+    out[np.arange(len(support))[:, None], support] = coef
+    return out[:, :n_atoms]
 
 
 def residual_norm(x: np.ndarray, D: Dictionary, code: SparseCode) -> float:

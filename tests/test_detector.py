@@ -260,10 +260,36 @@ class TestWindowedCoder:
         bands, height, width, dead, window, n_g, k = WINDOWED_CASES[case]
         rng = np.random.default_rng(100 + case)
         cube = windowed_cube(rng, bands, height, width, dead)
-        D_t, D_g = unit_atoms(rng, bands, 5), unit_atoms(rng, bands, n_g)
+        # The first case's D_t is too large to enumerate, so r_t is greedy.
+        D_t, D_g = unit_atoms(rng, bands, 40 if case == 0 else 5), unit_atoms(rng, bands, n_g)
         params = h.SolverParams(lam=lam, max_nonzeros=k)
-        _, r_b = h.residual_maps(cube, D_t, D_g, window, params)
+        r_t, r_b = h.residual_maps(cube, D_t, D_g, window, params)
         assert r_b.values.tobytes() == per_pixel_background(cube, D_g, window, params).tobytes()
+        want = [[h.residual_norm(spec, D_t, h.sparse_code(spec, D_t, params))
+                 for spec in cube.data[:, y].T] for y in range(height)]
+        assert r_t.values.tobytes() == np.array(want).tobytes()
+
+    def test_target_residuals_bit_equal_per_pixel_at_every_support_size(self):
+        # Pixels mix 0 to k atoms of a 40-atom D_t, so greedy codes of every
+        # size meet in one stack.  Padding short supports with zero
+        # coefficients would round some r_t differently.
+        rng = np.random.default_rng(305)
+        bands, height, width, k = 24, 6, 8, 4
+        D_t = unit_atoms(rng, bands, 40)
+        data = 0.01 * rng.normal(size=(bands, height, width))
+        for y in range(height):
+            for x in range(width):
+                atoms = rng.choice(40, (x + y) % (k + 1), replace=False)
+                data[:, y, x] += D_t.columns[:, atoms] @ rng.uniform(0.5, 2.0, atoms.size)
+        cube = h.HsiCube(data)
+        params = h.SolverParams(lam=0.02, max_nonzeros=k)
+        r_t, _ = h.residual_maps(cube, D_t, D_t, None, params)
+        codes = [[h.sparse_code(spec, D_t, params) for spec in cube.data[:, y].T]
+                 for y in range(height)]
+        assert {c.indices.size for row in codes for c in row} == set(range(k + 1))
+        want = [[h.residual_norm(spec, D_t, c) for spec, c in zip(cube.data[:, y].T, row)]
+                for y, row in enumerate(codes)]
+        assert r_t.values.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("case", range(len(WINDOWED_CASES)))
     def test_std_scores_match_per_pixel_joint_coding(self, case):
@@ -273,7 +299,7 @@ class TestWindowedCoder:
         D_t = unit_atoms(rng, bands, n_g)
         params = h.SolverParams(lam=0.05, max_nonzeros=k)
         got = std_map(cube, D_t, window, params)
-        assert np.max(np.abs(got - per_pixel_std(cube, D_t, window, params))) <= 1e-12
+        assert got.tobytes() == per_pixel_std(cube, D_t, window, params).tobytes()
 
     def test_global_only_and_local_only(self):
         rng = np.random.default_rng(300)
@@ -290,7 +316,7 @@ class TestWindowedCoder:
                 for got, D in ((global_only, D_g),
                                (local_only, h.local_background(cube, x, y, window))):
                     want = h.residual_norm(spec, D, h.sparse_code(spec, D, params))
-                    assert abs(got.values[y, x] - want) <= 1e-12
+                    assert got.values[y, x] == want
         with pytest.raises(ValueError, match="both background dictionaries are empty"):
             h.residual_maps(cube, D_t, empty, None, params)
 

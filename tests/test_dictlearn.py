@@ -189,13 +189,13 @@ def sequential_atom_update(D, A, B):
 class TestStackedOdl:
     def test_codes_each_mini_batch_in_one_call(self, monkeypatch):
         calls = []
-        sparse_codes = dictlearn.sparse_codes
+        code_block = dictlearn.code_block
 
         def counting(X, D, params):
             calls.append(len(X))
-            return sparse_codes(X, D, params)
+            return code_block(X, D, params)
 
-        monkeypatch.setattr(dictlearn, "sparse_codes", counting)
+        monkeypatch.setattr(dictlearn, "code_block", counting)
         rng = np.random.default_rng(9)
         X = rng.normal(size=(20, 10))
         h.odl_learn(X, h.OdlParams(n_atoms=40, epochs=3, batch_size=8, seed=1))

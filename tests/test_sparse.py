@@ -130,7 +130,8 @@ def relative_gaps(cases):
         cap = min(params.max_nonzeros, n)
         assert sum(math.comb(n, s) for s in range(1, cap + 1)) > _ENUM_LIMIT
         greedy = solver_objective(x, D, h.sparse_code(x, h.Dictionary(D), params), params.lam)
-        best = solver_objective(x, D, _enumerate_supports(x, D, range(n), params), params.lam)
+        best_code = h.SparseCode(*_enumerate_supports(x, D, range(n), params), n)
+        best = solver_objective(x, D, best_code, params.lam)
         assert best - 1e-12 <= greedy <= 0.5 * float(x @ x)
         gaps.append((greedy - best) / best)
     gaps = np.array(gaps)
