@@ -20,7 +20,6 @@ from .detector import (
     detect,
     fuse_scores,
     hierarchical_residuals,
-    learn_global_dictionaries,
     normalize_scores,
     orient_scores,
     residual_maps,

@@ -14,14 +14,15 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from .hierdict import WindowSpec
+from .sparse import MAX_NONZEROS
 
-_COUNTS = ("k", "n_target_atoms", "n_bg_atoms", "n_target_train", "odl_epochs", "threads")
+_COUNTS = ("n_target_atoms", "n_bg_atoms", "n_target_train", "odl_epochs", "threads")
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
     lam: float = 0.1              # L1 weight of the sparse solver
-    k: int = 5                    # sparsity cap
+    k: int = 5                    # sparsity cap, at most MAX_NONZEROS
     gamma: float = 0.3            # background-score weight in the fusion
     window: WindowSpec = field(default_factory=WindowSpec)
     n_target_atoms: int = 10
@@ -42,6 +43,8 @@ class DetectorConfig:
         for name in _COUNTS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 1 <= self.k <= MAX_NONZEROS:
+            raise ValueError(f"k must lie in [1, {MAX_NONZEROS}]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.lam) and self.lam >= 0):

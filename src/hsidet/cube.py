@@ -67,8 +67,11 @@ class HsiCube:
         return self.data[:, y, x].copy()
 
     def pixels(self) -> np.ndarray:
-        """All spectra as a (n_pixels, bands) matrix, row-major pixel order."""
-        return self.data.reshape(self.bands, -1).T.copy()
+        """All spectra as a read-only (n_pixels, bands) matrix, row-major
+        pixel order: a view of the cube where its memory layout allows."""
+        X = self.data.reshape(self.bands, -1).T
+        X.setflags(write=False)
+        return X
 
 
 @dataclass(frozen=True)

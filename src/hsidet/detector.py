@@ -45,7 +45,7 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
             raise ValueError(f"band mismatch: shared {shared.bands} vs cube {cube.bands}")
         if np.max(np.abs(np.linalg.norm(shared.columns, axis=0) - 1.0)) > NORM_TOLERANCE:
             raise ValueError("shared dictionary is not unit-norm")
-    pixels = cube.data.reshape(cube.bands, -1).T   # strided, as in residual_maps
+    pixels = cube.pixels()
     width = cube.width
     every = np.ones((width, shared.n_atoms), dtype=bool)
     if window is not None:
@@ -71,7 +71,7 @@ def residual_maps(cube: HsiCube, D_t: Dictionary, D_b_global: Dictionary,
         raise ValueError("target dictionary bands do not match cube")
     # Every pixel shares D_t, so its codes are stacked.  The rows are strided
     # views of the cube like the per-pixel spectra, so BLAS rounds them alike.
-    pixels = cube.data.reshape(cube.bands, -1).T
+    pixels = cube.pixels()
     r_t = block_residuals(pixels, D_t.columns, *code_block(pixels, D_t, params))
     r_b = np.concatenate([
         block_residuals(row, pool.columns, *block)
@@ -104,26 +104,20 @@ def normalize_scores(r_t: ScoreMap, r_b: ScoreMap) -> tuple[ScoreMap, ScoreMap]:
 def orient_scores(
     S_t: ScoreMap, S_b: ScoreMap, orientation: str
 ) -> tuple[ScoreMap, ScoreMap]:
-    """Apply the configured score orientation before fusion."""
-    if orientation == "literal":
-        return S_t, S_b
-    if orientation == "flip_target":
-        return ScoreMap(1.0 - S_t.values), S_b
-    if orientation == "flip_both":
-        return ScoreMap(1.0 - S_t.values), ScoreMap(1.0 - S_b.values)
-    raise ValueError(f"unknown orientation {orientation!r}")
+    """Flip both normalized scores before fusion: ``"flip_both"``, the one
+    orientation (``DetectorConfig.orientation``)."""
+    if orientation != "flip_both":
+        raise ValueError(f"unknown orientation {orientation!r}")
+    return ScoreMap(1.0 - S_t.values), ScoreMap(1.0 - S_b.values)
 
 
 def fuse_scores(S_t: ScoreMap, S_b: ScoreMap, gamma: float) -> ScoreMap:
-    """Pointwise convex combination (1 - gamma) * S_t + gamma * S_b."""
+    """Pointwise convex combination (1 - gamma) * S_t + gamma * S_b, which
+    is S_t at gamma = 0 and S_b at gamma = 1 exactly."""
     if (S_t.height, S_t.width) != (S_b.height, S_b.width):
         raise ValueError("score maps have mismatched shapes")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    if gamma == 0.0:
-        return ScoreMap(S_t.values.copy())
-    if gamma == 1.0:
-        return ScoreMap(S_b.values.copy())
     return ScoreMap((1.0 - gamma) * S_t.values + gamma * S_b.values)
 
 
@@ -167,14 +161,6 @@ class Fit:
     def residuals(self) -> tuple[ScoreMap, ScoreMap]:
         params = SolverParams(lam=self.config.lam, max_nonzeros=self.config.k)
         return residual_maps(self.cube, self.D_t, self.D_b, self.config.window, params)
-
-
-def learn_global_dictionaries(cube: HsiCube, d: np.ndarray,
-                              config: DetectorConfig) -> tuple[Dictionary, Dictionary]:
-    """Pre-detect with CEM, split training sets, learn both global
-    dictionaries.  Returns (target_dictionary, global_background_dictionary)."""
-    fit = Fit(cube, d, config)
-    return fit.D_t, fit.D_b
 
 
 def hierarchical_residuals(cube: HsiCube, d: np.ndarray,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import Dictionary
-from .sparse import SolverParams, _row_dots, block_dense, block_residuals, code_block
+from .sparse import MAX_NONZEROS, SolverParams, _row_dots, block_dense, block_residuals, code_block
 
 _JITTER_SCALE = 0.01
 
@@ -30,7 +30,7 @@ class OdlParams:
     lam: float = 0.1
     epochs: int = 5
     batch_size: int = 32
-    sparsity: int = 5     # solver support cap during coding
+    sparsity: int = 5     # solver support cap during coding, at most MAX_NONZEROS
     seed: int = 0
 
     def __post_init__(self):
@@ -40,6 +40,8 @@ class OdlParams:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 1 <= self.sparsity <= MAX_NONZEROS:
+            raise ValueError(f"sparsity must lie in [1, {MAX_NONZEROS}]")
 
 
 def _as_sample_matrix(samples) -> np.ndarray:
@@ -143,16 +145,14 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
     dead = np.flatnonzero(~used)
     if dead.size:
         # Replace dead atoms with the worst-reconstructed (largest-residual)
-        # training samples, normalized.
+        # training samples, normalized, cycling through them in that order; a
+        # zero sample gives way to the worst-reconstructed nonzero one.
         residuals = block_residuals(X, D, *code_block(X, Dictionary(D), solver))
         worst = np.argsort(-residuals)
-        for pos, j in enumerate(dead):
-            repl = X[worst[pos % n]]
-            norm = np.linalg.norm(repl)
-            if norm == 0.0:
-                repl = X[worst[0]]
-                norm = np.linalg.norm(repl)
-            D[:, j] = repl / norm
+        norms = np.sqrt(_row_dots(X))
+        picks = worst[np.arange(dead.size) % n]
+        picks[norms[picks] == 0.0] = worst[np.argmax(norms[worst] > 0.0)]
+        D[:, dead] = (X[picks] / norms[picks, None]).T
 
     D /= np.linalg.norm(D, axis=0)
     return Dictionary(D)

@@ -114,20 +114,21 @@ def write_comparison(
 
 
 _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
+_SVG_SIZE, _SVG_MARGIN = 480, 50   # px: the square plot and its margin
 
 
-def _write_svg(rows, path: str, size: int = 480, margin: int = 50) -> None:
-    span = size - 2 * margin
+def _write_svg(rows, path: str) -> None:
+    span = _SVG_SIZE - 2 * _SVG_MARGIN
 
     def px(x: float) -> float:
-        return margin + x * span
+        return _SVG_MARGIN + x * span
 
     def py(y: float) -> float:
-        return size - margin - y * span
+        return _SVG_SIZE - _SVG_MARGIN - y * span
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
-        f'<rect x="{margin}" y="{margin}" width="{span}" height="{span}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}">',
+        f'<rect x="{_SVG_MARGIN}" y="{_SVG_MARGIN}" width="{span}" height="{span}" '
         'fill="none" stroke="#888"/>',
         f'<line x1="{px(0)}" y1="{py(0)}" x2="{px(1)}" y2="{py(1)}" '
         'stroke="#ccc" stroke-dasharray="4"/>',
@@ -139,7 +140,7 @@ def _write_svg(rows, path: str, size: int = 480, margin: int = 50) -> None:
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{margin + 8}" y="{margin + 16 + 14 * i}" fill="{color}" '
+            f'<text x="{_SVG_MARGIN + 8}" y="{_SVG_MARGIN + 16 + 14 * i}" fill="{color}" '
             f'font-size="12">{name} ({value:.4f})</text>'
         )
     parts.append("</svg>")

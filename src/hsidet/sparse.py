@@ -2,18 +2,17 @@
 
 Minimizes 0.5 * ||x - D a||^2 + lambda * ||a||_1 over coefficient vectors
 supported on at most ``max_nonzeros`` atoms.  Small dictionaries are solved
-exactly by sweeping every support; larger ones use greedy atom admission,
-as in the orthogonal matching pursuit of sparse-representation target
-detectors (Chen, Nasrabadi & Tran 2011).  Spectra coded against one
-dictionary admit atoms together, as one stack of rows, in the manner of
-Batch-OMP (Rubinstein, Zibulevsky & Elad 2008); a single spectrum is a
-stack of one row.  Spectra whose dictionaries are different column subsets
-of one pool matrix, such as pixels' [global | dual-window ring]
-dictionaries, share a stack too: a per-row mask keeps each row to its own
-columns.  Either way each fixed-support subproblem is solved exactly: for
-supports up to ``_SIGN_ENUM_LIMIT`` atoms by enumerating sign patterns of
-the stationarity system, beyond that by soft-thresholded coordinate descent
-in Gram space.  Coefficient signs are unconstrained.
+exactly by sweeping every support; larger ones use greedy atom admission, as
+in the orthogonal matching pursuit of sparse-representation target detectors
+(Chen, Nasrabadi & Tran 2011).  Spectra coded against one dictionary admit
+atoms together, as one stack of rows, in the manner of Batch-OMP
+(Rubinstein, Zibulevsky & Elad 2008); a single spectrum is a stack of one
+row.  Spectra whose dictionaries are different column subsets of one pool
+matrix, such as pixels' [global | dual-window ring] dictionaries, share a
+stack too: a per-row mask keeps each row to its own columns.  Either way
+every fixed-support subproblem is solved exactly: by least squares when
+lambda is 0, else over all 2^size sign patterns of its stationarity system,
+size <= ``MAX_NONZEROS``.  Signs are unconstrained.
 
 A stack's codes are one block (``code_block``): (n, cap) atom indices, each
 row's ascending and then -1 padding, and (n, cap) coefficients, 0.0 at the
@@ -33,10 +32,8 @@ import numpy as np
 
 from .cube import Dictionary
 
+MAX_NONZEROS = 12      # largest support cap: every support's 2^cap sign patterns are solved
 _ENUM_LIMIT = 512      # max support count for the exact small-dictionary path
-_SIGN_ENUM_LIMIT = 12  # largest support solved by sign enumeration
-_CD_MAX_ITER = 200     # coordinate-descent sweeps beyond _SIGN_ENUM_LIMIT
-_CD_TOL = 1e-7         # stop when a sweep lowers the objective by less
 _STACK_ELEMENTS = 1 << 16  # target size of a stacked coding block, in doubles
 
 
@@ -48,8 +45,8 @@ class SolverParams:
     def __post_init__(self):
         if not (isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lam must be finite and >= 0")
-        if self.max_nonzeros < 1:
-            raise ValueError("max_nonzeros must be >= 1")
+        if not 1 <= self.max_nonzeros <= MAX_NONZEROS:
+            raise ValueError(f"max_nonzeros must lie in [1, {MAX_NONZEROS}]")
 
 
 @dataclass(frozen=True)
@@ -91,26 +88,6 @@ def _sign_patterns(size: int) -> np.ndarray:
     return signs
 
 
-def _objective_gram(a, G, b, xx, lam):
-    return 0.5 * xx - float(a @ b) + 0.5 * float(a @ G @ a) + lam * float(np.abs(a).sum())
-
-
-def _cd_gram(G, b, xx, lam):
-    """Soft-thresholded coordinate descent on a fixed support, in Gram space."""
-    s = b.size
-    a = np.zeros(s)
-    obj = 0.5 * xx
-    for _ in range(_CD_MAX_ITER):
-        for j in range(s):
-            rho = b[j] - float(G[j] @ a) + G[j, j] * a[j]
-            a[j] = np.sign(rho) * max(abs(rho) - lam, 0.0) / G[j, j]
-        new_obj = _objective_gram(a, G, b, xx, lam)
-        if obj - new_obj < _CD_TOL:
-            break
-        obj = new_obj
-    return a
-
-
 def _row_dots(X):
     """Squared norm of each row of X, each as the BLAS dot ``x @ x`` gives it."""
     return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
@@ -128,29 +105,25 @@ def _solve_support(Ds, X, xx, lam):
     restricted to the atoms in Ds[i] (n, bands, size); xx holds the rows'
     squared norms.
 
-    lam = 0 is plain least squares.  Otherwise all sign patterns s of each
-    row's stationarity system G a = Ds^T x - lam * s are solved in one
-    batched linear solve over the stack, and each row's consistent pattern
-    with the best objective wins.  Oversized supports use coordinate
-    descent.  lam = 0, oversized supports and a stack holding a singular
-    Gram matrix are solved one row at a time by this same function.
+    lam = 0 is least squares by ``lstsq``, row by row: normal equations
+    would split the coefficients of near-duplicate atoms arbitrarily.
+    Otherwise all sign patterns s of each row's stationarity system
+    G a = Ds^T x - lam * s are solved in one batched linear solve over the
+    stack, and each row's consistent pattern with the best objective wins;
+    a stack holding a singular Gram matrix is solved row by row.
 
     Returns (coefficients (n, size), objectives (n,)).
     """
     n, _, size = Ds.shape
-    if n > 1 and (lam == 0.0 or size > _SIGN_ENUM_LIMIT):
-        return _row_by_row(Ds, X, xx, lam)
     if lam == 0.0:
+        if n > 1:
+            return _row_by_row(Ds, X, xx, lam)
         a, *_ = np.linalg.lstsq(Ds[0], X[0], rcond=None)
         r = X[0] - Ds[0] @ a
         return a[None], np.array([0.5 * float(r @ r)])
     Dt = Ds.transpose(0, 2, 1)
     G = Dt @ Ds
     b = Dt @ X[:, :, None]                                      # (n, size, 1)
-    if size > _SIGN_ENUM_LIMIT:
-        a = _cd_gram(G[0], b[0, :, 0], float(xx[0]), lam)
-        r = X[0] - Ds[0] @ a
-        return a[None], np.array([0.5 * float(r @ r) + lam * float(np.abs(a).sum())])
     signs = _sign_patterns(size)
     rhs = b - lam * signs
     try:
@@ -295,7 +268,7 @@ def code_block(X: np.ndarray, D: Dictionary, params: SolverParams,
     # Stack heights keep the correlation block and the largest sign-pattern
     # residual block near _STACK_ELEMENTS doubles each.  Stacks are slices
     # of X, so every row keeps the caller's layout.
-    rows = max(1, _STACK_ELEMENTS // max(n_atoms, mat.shape[0] << min(cap, _SIGN_ENUM_LIMIT)))
+    rows = max(1, _STACK_ELEMENTS // max(n_atoms, mat.shape[0] << cap))
     edges = np.flatnonzero(np.diff(np.concatenate(([0], ~enumerated, [0]))))
     for lo, hi in zip(edges[::2], edges[1::2]):
         for start in range(lo, hi, rows):

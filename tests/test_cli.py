@@ -260,6 +260,7 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--sparsity", "0", "k"),
+        ("--sparsity", "13", "k"),
         ("--bg-atoms", "0", "n_bg_atoms"),
         ("--target-atoms", "0", "n_target_atoms"),
         ("--train-targets", "0", "n_target_train"),

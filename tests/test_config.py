@@ -10,6 +10,7 @@ import hsidet as h
 
 @pytest.mark.parametrize("field,value", [
     ("k", 0),
+    ("k", 13),
     ("n_target_atoms", 0),
     ("n_bg_atoms", -3),
     ("n_target_train", 0),

@@ -1,5 +1,7 @@
 """Online dictionary learning properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,20 @@ class TestOdlLearn:
         with pytest.raises(ValueError):
             h.odl_learn(np.zeros((5, 4)), h.OdlParams(n_atoms=2))
 
+    def test_dead_atoms_skip_zero_samples(self):
+        # Every residual is zero, so the worst-reconstructed sample is a zero
+        # one; the dead atoms 1 and 2 take the nonzero sample instead.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D = h.odl_learn([[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+                            h.OdlParams(n_atoms=3, lam=0.0, epochs=1))
+        assert np.array_equal(D.columns, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("sparsity", [-1, 0, 13])
+    def test_sparsity_outside_one_to_twelve_rejected(self, sparsity):
+        with pytest.raises(ValueError, match=r"^sparsity must lie in \[1, 12\]"):
+            h.OdlParams(n_atoms=4, sparsity=sparsity)
+
 
 def sequential_atom_update(D, A, B):
     """Block coordinate descent one atom at a time, in index order."""
@@ -268,6 +284,8 @@ class TestInitDictionary:
 
 
 class TestLearnGlobalDictionaries:
+    """The target and global background dictionaries ``Fit`` learns."""
+
     def test_shapes_follow_config(self):
         rng = np.random.default_rng(9)
         cube = h.HsiCube(rng.random((8, 12, 12)) + 0.1)
@@ -276,7 +294,8 @@ class TestLearnGlobalDictionaries:
             window=h.WindowSpec(5, 1), n_target_atoms=4, n_bg_atoms=16,
             n_target_train=6, odl_epochs=2,
         )
-        D_t, D_b = h.learn_global_dictionaries(cube, d, config)
+        fit = h.Fit(cube, d, config)
+        D_t, D_b = fit.D_t, fit.D_b
         assert D_t.columns.shape == (8, 4)
         assert D_b.columns.shape == (8, 16)
         for D in (D_t, D_b):
@@ -290,10 +309,9 @@ class TestLearnGlobalDictionaries:
             window=h.WindowSpec(5, 1), n_target_atoms=3, n_bg_atoms=8,
             n_target_train=5, odl_epochs=2, seed=11,
         )
-        a = h.learn_global_dictionaries(cube, d, config)
-        b = h.learn_global_dictionaries(cube, d, config)
-        assert np.array_equal(a[0].columns, b[0].columns)
-        assert np.array_equal(a[1].columns, b[1].columns)
+        a, b = h.Fit(cube, d, config), h.Fit(cube, d, config)
+        assert np.array_equal(a.D_t.columns, b.D_t.columns)
+        assert np.array_equal(a.D_b.columns, b.D_b.columns)
 
     def test_target_dictionary_alone_equals_the_first_of_both(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -303,7 +321,8 @@ class TestLearnGlobalDictionaries:
             window=h.WindowSpec(5, 1), n_target_atoms=3, n_bg_atoms=8,
             n_target_train=5, odl_epochs=2, seed=5,
         )
-        D_t, _ = h.learn_global_dictionaries(cube, d, config)
+        both = h.Fit(cube, d, config)
+        D_t, _ = both.D_t, both.D_b  # both learned, D_t first
         calls = []
         learn = dictlearn.odl_learn
 

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 import hsidet as h
 import hsidet.sparse as hsparse
-from hsidet.sparse import _ENUM_LIMIT, _SIGN_ENUM_LIMIT, _enumerate_supports
+from hsidet.sparse import _ENUM_LIMIT, MAX_NONZEROS, _enumerate_supports
 
 
 def support_optimum(x, Ds, lam):
@@ -146,8 +146,8 @@ def sparse_preset():
     """The sparse-targets scene, its preset config and its learned dictionaries."""
     cube, mask, signature = h.generate(h.PRESETS["sparse-targets"])
     config = h.preset_config("sparse-targets")
-    D_t, D_b = h.learn_global_dictionaries(cube, signature, config)
-    return cube, mask, config, D_t, D_b
+    fit = h.Fit(cube, signature, config)
+    return cube, mask, config, fit.D_t, fit.D_b
 
 
 class TestGreedyGapOracle:
@@ -191,35 +191,6 @@ class TestGreedyGapOracle:
         assert exact >= 0.1
         assert np.median(gaps) <= 2e-3
         assert gaps.max() <= 0.01
-
-
-class TestCoordinateDescentFallback:
-    def test_large_supports_reach_the_support_optimum(self, monkeypatch):
-        # Supports beyond _SIGN_ENUM_LIMIT atoms are solved by coordinate
-        # descent; a user reaches them with a sparsity cap of 13 or more.
-        calls = []
-        cd_gram = hsparse._cd_gram
-
-        def counting(*args):
-            calls.append(args)
-            return cd_gram(*args)
-
-        monkeypatch.setattr(hsparse, "_cd_gram", counting)
-        rng = np.random.default_rng(14)
-        params = h.SolverParams(lam=0.01, max_nonzeros=14)
-        worst, sizes = -np.inf, []
-        for _ in range(20):
-            D = random_dictionary(rng, 40, 30)
-            x = rng.normal(size=40)
-            n_calls = len(calls)
-            code = h.sparse_code(x, h.Dictionary(D), params)
-            assert len(calls) > n_calls
-            sizes.append(code.indices.size)
-            obj = solver_objective(x, D, code, params.lam)
-            worst = max(worst, obj - support_optimum(x, D[:, code.indices], params.lam))
-        print(f"supports {min(sizes)}-{max(sizes)} atoms, worst gap {worst:.2g}")
-        assert max(sizes) > _SIGN_ENUM_LIMIT
-        assert worst <= 1e-6
 
 
 def assert_same_codes(got, want):
@@ -337,18 +308,6 @@ class TestStackedCodes:
         assert any(n > 1 for n in calls)
         assert_same_codes(stacked, codes_per_row(X, D, params))
 
-    def test_cap_above_sign_enumeration_limit(self, monkeypatch):
-        # Stacks are cut to one row at this size; lift the cut so that
-        # several rows reach coordinate descent together.
-        monkeypatch.setattr(hsparse, "_STACK_ELEMENTS", 1 << 30)
-        rng = np.random.default_rng(43)
-        D = random_dictionary(rng, 40, 30)
-        X = rng.normal(size=(5, 40))
-        params = h.SolverParams(lam=0.01, max_nonzeros=14)
-        stacked = h.sparse_codes(X, h.Dictionary(D), params)
-        assert_same_codes(stacked, codes_per_row(X, D, params))
-        assert max(c.indices.size for c in stacked) > _SIGN_ENUM_LIMIT
-
     def test_small_dictionary_enumerates_each_row(self):
         rng = np.random.default_rng(44)
         D = random_dictionary(rng, 8, 8)
@@ -435,6 +394,11 @@ class TestSolverParams:
     def test_nonfinite_or_negative_lam_rejected(self, lam):
         with pytest.raises(ValueError, match="lam"):
             h.SolverParams(lam=lam)
+
+    @pytest.mark.parametrize("cap", [0, MAX_NONZEROS + 1])
+    def test_cap_outside_one_to_twelve_rejected(self, cap):
+        with pytest.raises(ValueError, match=r"^max_nonzeros must lie in \[1, 12\]"):
+            h.SolverParams(max_nonzeros=cap)
 
 
 class TestSparseCodeType:
