@@ -67,10 +67,21 @@ def _write_manifest(out_dir: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _load_mask(path: str) -> hio.GroundTruthMask:
+    """Load a mask that a ROC can score: one with both a target and a
+    background pixel, or ``FormatError`` naming the file."""
+    mask = hio.load_mask(path)
+    if mask.n_targets in (0, mask.labels.size):
+        raise hio.FormatError(
+            f"{path}: mask must contain at least one target and one background pixel")
+    return mask
+
+
 def _load_inputs(cube_path: str, signature_path: str, mask_path: str | None = None):
     """Load a cube, its target signature and optionally its mask; a signature
-    or mask that does not fit the cube raises ``FormatError`` naming both
-    files.  Returns (cube, signature, mask or None)."""
+    or mask that does not fit the cube, or a mask without a target or a
+    background pixel, raises ``FormatError`` naming the files.  Returns
+    (cube, signature, mask or None)."""
     cube = hio.load_cube(cube_path)
     signature = hio.load_signature(signature_path)
     if signature.shape != (cube.bands,):
@@ -78,7 +89,7 @@ def _load_inputs(cube_path: str, signature_path: str, mask_path: str | None = No
                               f"the {cube.bands} bands of {cube_path}")
     if mask_path is None:
         return cube, signature, None
-    mask = hio.load_mask(mask_path)
+    mask = _load_mask(mask_path)
     _check_fits(mask_path, mask.labels.shape, cube_path, (cube.height, cube.width))
     return cube, signature, mask
 
@@ -145,7 +156,7 @@ def cmd_eval(args) -> int:
         if name in paths:
             raise ValueError(f"score map name {name!r} is given more than once")
         paths[name] = path
-    truth = hio.load_mask(args.mask)
+    truth = _load_mask(args.mask)
     named = []
     for name, path in paths.items():
         smap = hio.load_scoremap(path)

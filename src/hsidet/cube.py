@@ -1,14 +1,16 @@
 """Core data model and file I/O for hyperspectral cubes, score maps and masks.
 
-In-memory layout is canonical band-sequential: ``data[b, y, x]`` holds the
-reflectance of pixel (x, y) in band b.  On disk cubes are stored as a small
-text header plus a raw little-endian float32 binary, in either ``bsq`` or
-``bil`` interleave; loading always produces the canonical layout.  All
+A cube is indexed band first, ``data[b, y, x]`` being pixel (x, y) in band b,
+but stored pixel-major whatever layout it was built or loaded from: every
+detector works on whole spectra, whose sums round by memory order, so one
+order gives one result per cube.  On disk cubes are a small text header plus
+a raw little-endian float32 binary, in ``bsq`` or ``bil`` interleave.  All
 in-memory numerics are float64.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -23,17 +25,19 @@ class FormatError(ValueError):
 class HsiCube:
     """A width x height x bands reflectance volume.
 
-    ``data`` has shape (bands, height, width), float64, band-sequential.
+    ``data`` has shape (bands, height, width), float64: a read-only view of
+    the cube's own copy, whose memory order is (height, width, bands).
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64)
+        arr = np.asarray(self.data)
         if arr.ndim != 3:
             raise ValueError("cube data must be 3-D (bands, height, width)")
         if min(arr.shape) < 1:
             raise ValueError("cube dimensions must all be >= 1")
+        arr = arr.transpose(1, 2, 0).astype(np.float64, order="C").transpose(2, 0, 1)
         if not np.all(np.isfinite(arr)):
             bad = np.argwhere(~np.isfinite(arr))[0]
             raise ValueError(
@@ -67,11 +71,9 @@ class HsiCube:
         return self.data[:, y, x].copy()
 
     def pixels(self) -> np.ndarray:
-        """All spectra as a read-only (n_pixels, bands) matrix, row-major
-        pixel order: a view of the cube where its memory layout allows."""
-        X = self.data.reshape(self.bands, -1).T
-        X.setflags(write=False)
-        return X
+        """All spectra as a read-only (n_pixels, bands) matrix in row-major
+        pixel order: a C-contiguous view of the cube, never a copy."""
+        return self.data.reshape(self.bands, -1).T
 
 
 @dataclass(frozen=True)
@@ -167,17 +169,27 @@ def _raw_path(header_path: str) -> str:
     return base + ".raw"
 
 
+def _ascii_lines(path: str) -> list[str]:
+    """The lines of an ASCII text file; a non-ASCII byte raises
+    ``FormatError`` naming the file and the line."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            raise FormatError(f"{path}:{lineno}: non-ASCII byte")
+    return lines
+
+
 def _parse_header(header_path: str) -> dict:
     fields = {}
-    with open(header_path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise FormatError(f"{header_path}:{lineno}: bad header line: {line!r}")
-            key, value = line.split(":", 1)
-            fields[key.strip().lower()] = value.strip().lower()
+    for lineno, line in enumerate(_ascii_lines(header_path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ":" not in line:
+            raise FormatError(f"{header_path}:{lineno}: bad header line: {line!r}")
+        key, value = line.split(":", 1)
+        fields[key.strip().lower()] = value.strip().lower()
     for key in ("width", "height", "bands", "dtype", "interleave"):
         if key not in fields:
             raise FormatError(f"{header_path}: header missing field {key!r}")
@@ -195,7 +207,7 @@ def _parse_header(header_path: str) -> dict:
 
 
 def load_cube(header_path: str) -> HsiCube:
-    """Load a cube from ``<name>.hdr`` + ``<name>.raw`` into canonical layout."""
+    """Load a cube from ``<name>.hdr`` + ``<name>.raw``."""
     hdr = _parse_header(header_path)
     raw_path = _raw_path(header_path)
     if not os.path.exists(raw_path):
@@ -214,7 +226,7 @@ def load_cube(header_path: str) -> HsiCube:
     if bad.size:
         b0, y0, x0 = bad[0]
         raise FormatError(f"{raw_path}: non-finite value at band={b0}, y={y0}, x={x0}")
-    return HsiCube(data.astype(np.float64))
+    return HsiCube(data)
 
 
 def save_cube(cube: HsiCube, header_path: str, interleave: str = "bsq") -> None:
@@ -228,10 +240,9 @@ def save_cube(cube: HsiCube, header_path: str, interleave: str = "bsq") -> None:
         fh.write(f"bands: {cube.bands}\n")
         fh.write("dtype: float32\n")
         fh.write(f"interleave: {interleave}\n")
-    data = cube.data.astype("<f4")
-    if interleave == "bil":
-        data = data.transpose(1, 0, 2)
-    data.tofile(_raw_path(header_path))
+    data = cube.data.transpose(1, 0, 2) if interleave == "bil" else cube.data
+    # tofile writes a non-contiguous array one element at a time.
+    np.ascontiguousarray(data, dtype="<f4").tofile(_raw_path(header_path))
 
 
 # ---------------------------------------------------------------------------
@@ -260,23 +271,25 @@ def load_scoremap(path: str) -> ScoreMap:
     is not read.  The rows must cover every (x, y) cell exactly once."""
     csv_path = _strip_known_ext(path) + ".csv"
     xs, ys, scores = [], [], []
-    with open(csv_path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "x,y,score":
-            raise FormatError(f"{csv_path}: bad score-map CSV header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                x_s, y_s, s_s = line.strip().split(",")
-                x, y = int(x_s), int(y_s)
-                scores.append(float(s_s))
-            except ValueError as exc:
-                raise FormatError(
-                    f"{csv_path}:{lineno}: bad x,y,score row {line.strip()!r}"
-                ) from exc
-            if x < 0 or y < 0:
-                raise FormatError(f"{csv_path}:{lineno}: negative coordinate")
-            xs.append(x)
-            ys.append(y)
+    lines = _ascii_lines(csv_path)
+    header = lines[0].strip() if lines else ""
+    if header != "x,y,score":
+        raise FormatError(f"{csv_path}: bad score-map CSV header: {header!r}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            x_s, y_s, s_s = line.strip().split(",")
+            x, y, score = int(x_s), int(y_s), float(s_s)
+        except ValueError as exc:
+            raise FormatError(
+                f"{csv_path}:{lineno}: bad x,y,score row {line.strip()!r}"
+            ) from exc
+        if x < 0 or y < 0:
+            raise FormatError(f"{csv_path}:{lineno}: negative coordinate")
+        if not math.isfinite(score):
+            raise FormatError(f"{csv_path}:{lineno}: non-finite score {s_s!r}")
+        xs.append(x)
+        ys.append(y)
+        scores.append(score)
     if not scores:
         raise FormatError(f"{csv_path}: no score rows")
     w, h = max(xs) + 1, max(ys) + 1
@@ -305,14 +318,13 @@ def save_mask(mask: GroundTruthMask, path: str) -> None:
 
 def load_mask(path: str) -> GroundTruthMask:
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if set(line) - {"0", "1"}:
-                raise FormatError(f"{path}:{lineno}: mask rows must be 0/1 strings")
-            rows.append([int(c) for c in line])
+    for lineno, line in enumerate(_ascii_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if set(line) - {"0", "1"}:
+            raise FormatError(f"{path}:{lineno}: mask rows must be 0/1 strings")
+        rows.append([int(c) for c in line])
     if not rows:
         raise FormatError(f"{path}: empty mask")
     widths = {len(r) for r in rows}
@@ -337,17 +349,16 @@ def save_signature(values: np.ndarray, path: str) -> None:
 def load_signature(path: str) -> np.ndarray:
     """Read a single-column CSV of finite band values; blank lines are skipped."""
     values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                value = float(line)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad band value {line.strip()!r}") from exc
-            if not np.isfinite(value):
-                raise FormatError(f"{path}:{lineno}: non-finite band value {line.strip()!r}")
-            values.append(value)
+    for lineno, line in enumerate(_ascii_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            value = float(line)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad band value {line.strip()!r}") from exc
+        if not np.isfinite(value):
+            raise FormatError(f"{path}:{lineno}: non-finite band value {line.strip()!r}")
+        values.append(value)
     if not values:
         raise FormatError(f"{path}: empty signature")
     return np.asarray(values, dtype=np.float64)

@@ -69,8 +69,7 @@ def residual_maps(cube: HsiCube, D_t: Dictionary, D_b_global: Dictionary,
     empty D_b_global against the ring alone."""
     if D_t.bands != cube.bands:
         raise ValueError("target dictionary bands do not match cube")
-    # Every pixel shares D_t, so its codes are stacked.  The rows are strided
-    # views of the cube like the per-pixel spectra, so BLAS rounds them alike.
+    # Every pixel shares D_t, so its codes are stacked.
     pixels = cube.pixels()
     r_t = block_residuals(pixels, D_t.columns, *code_block(pixels, D_t, params))
     r_b = np.concatenate([

@@ -50,7 +50,7 @@ def unit_pixels(cube: HsiCube) -> tuple[np.ndarray, np.ndarray]:
     nonzero-norm pixels (the zero-norm columns stay zero).  Each column is
     laid out contiguously, as a gathered ring is, so its norm rounds the
     same."""
-    flat = np.asfortranarray(cube.data.reshape(cube.bands, -1))
+    flat = cube.pixels().T
     norms = np.linalg.norm(flat, axis=0)
     nonzero = norms > 0.0
     return flat / np.where(nonzero, norms, 1.0), nonzero.reshape(cube.height, cube.width)

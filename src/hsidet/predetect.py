@@ -51,9 +51,7 @@ def _check_signature(cube: HsiCube, d: np.ndarray) -> np.ndarray:
 def cem_detect(cube: HsiCube, d: np.ndarray) -> ScoreMap:
     """Constrained energy minimization; score(d) = 1 by construction."""
     d = _check_signature(cube, d)
-    # A C-ordered copy: the rounding of X @ w (and of ACE's mean) depends on
-    # the layout, and the strided pixel view rounds differently.
-    X = np.ascontiguousarray(cube.pixels())   # (N, bands)
+    X = cube.pixels()   # (N, bands)
     R = _regularized(X.T @ X / X.shape[0])
     rinv_d = np.linalg.solve(R, d)
     w = rinv_d / float(d @ rinv_d)
@@ -68,7 +66,7 @@ def ace_detect(cube: HsiCube, d: np.ndarray) -> ScoreMap:
     resolved as maximally background-like).
     """
     d = _check_signature(cube, d)
-    X = np.ascontiguousarray(cube.pixels())   # as in cem_detect
+    X = cube.pixels()
     mu = X.mean(axis=0)
     Xc = X - mu
     sigma = _regularized(Xc.T @ Xc / X.shape[0])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hsidet as h
-from hsidet import dictlearn, predetect
+from hsidet import cli, dictlearn, predetect
 from hsidet.cli import _add_config_flags, _config_from_args, build_parser, main
 
 
@@ -164,8 +164,9 @@ class TestEvalCommand:
 
 
 class TestMismatchedInputs:
-    """A signature, mask or score map that does not fit fails right after
-    loading, names both files and writes nothing."""
+    """A signature, mask or score map that does not fit, or a mask that no
+    ROC can score, fails right after loading, names the files and writes
+    nothing."""
 
     def test_compare_mask_that_does_not_fit_the_cube(self, tmp_path, capsys):
         paths = write_tiny_scene(str(tmp_path / "scene"))
@@ -194,6 +195,29 @@ class TestMismatchedInputs:
         assert capsys.readouterr().err == (
             f"error: {bad}: 7 bands do not match the 6 bands of {paths['cube']}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "eval"])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_mask_without_a_target_or_a_background_pixel(
+            self, tmp_path, capsys, monkeypatch, command, label):
+        paths = write_tiny_scene(str(tmp_path / "scene"))
+        bad = str(tmp_path / "flat.mask")
+        h.save_mask(h.GroundTruthMask(np.full((10, 10), label)), bad)
+        if command == "compare":
+            args = ["compare", "--cube", paths["cube"], "--signature", paths["signature"]]
+        else:
+            write_cem_map(paths, str(tmp_path / "cem"))
+            args = ["eval", "--scores", str(tmp_path / "cem")]
+        calls = []
+        count_calls(monkeypatch, calls, cli, "detect")
+        count_calls(monkeypatch, calls, h.cube, "load_scoremap")
+        out = tmp_path / "o"
+        rc = main(args + ["--mask", bad, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: mask must contain at least one target and one background pixel\n")
+        assert not out.exists()
+        assert calls == []
 
     def test_eval_map_that_the_mask_does_not_fit(self, tmp_path, capsys):
         paths = write_tiny_scene(str(tmp_path / "scene"))

@@ -1,5 +1,7 @@
 """Data model and file I/O round-trip tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,41 @@ class TestHsiCube:
         cube = h.HsiCube(flat.reshape(b, height, width))
         expected = [band * width * height for band in range(b)]
         assert np.array_equal(cube.pixel_at(0, 0), expected)
+
+
+def cube_from(origin, tmp_path):
+    """A small cube built from an array of the given layout, made by
+    ``synth.generate``, or loaded from a file of the given interleave."""
+    if origin == "synth":
+        return h.generate(h.SceneSpec(width=6, height=5, bands=4, n_targets=2, seed=1))[0]
+    values = random_cube(np.random.default_rng(5)).data
+    if origin == "band-major":
+        return h.HsiCube(np.ascontiguousarray(values))
+    if origin == "pixel-major":
+        return h.HsiCube(np.ascontiguousarray(values.transpose(1, 2, 0)).transpose(2, 0, 1))
+    h.save_cube(h.HsiCube(values), str(tmp_path / "c.hdr"), interleave=origin)
+    return h.load_cube(str(tmp_path / "c.hdr"))
+
+
+class TestPixelMajorLayout:
+    @pytest.mark.parametrize("origin", ["band-major", "pixel-major", "synth", "bsq", "bil"])
+    def test_pixels_are_a_contiguous_read_only_view(self, tmp_path, origin):
+        cube = cube_from(origin, tmp_path)
+        X = cube.pixels()
+        assert X.flags.c_contiguous and not X.flags.writeable
+        assert np.shares_memory(X, cube.data)
+        assert np.array_equal(X[cube.width + 2], cube.pixel_at(2, 1))
+
+    @pytest.mark.parametrize("origin", ["band-major", "pixel-major"])
+    def test_caller_array_is_copied_and_left_writable(self, origin):
+        values = np.random.default_rng(6).random((3, 4, 5))
+        arr = (values.copy() if origin == "band-major"
+               else np.ascontiguousarray(values.transpose(1, 2, 0)).transpose(2, 0, 1))
+        cube = h.HsiCube(arr)
+        assert arr.flags.writeable and np.array_equal(arr, values)
+        assert not np.shares_memory(arr, cube.data)
+        arr[0, 0, 0] = -1.0
+        assert cube.data[0, 0, 0] == values[0, 0, 0]
 
 
 class TestCubeIO:
@@ -159,6 +196,12 @@ class TestScoreMapIO:
         with pytest.raises(FormatError, match=r"s\.csv:3: negative coordinate"):
             h.load_scoremap(str(tmp_path / "s"))
 
+    @pytest.mark.parametrize("score", ["inf", "-inf", "nan"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        (tmp_path / "s.csv").write_text(f"x,y,score\n0,0,1.0\n1,0,{score}\n")
+        with pytest.raises(FormatError, match=rf"s\.csv:3: non-finite score '{score}'"):
+            h.load_scoremap(str(tmp_path / "s"))
+
 
 class TestMaskIO:
     def test_round_trip(self, tmp_path):
@@ -200,3 +243,17 @@ class TestDictionaryIO:
         (tmp_path / "sig.csv").write_text("0.1\nnan\n")
         with pytest.raises(FormatError, match=r"sig\.csv:2: non-finite band value 'nan'"):
             h.load_signature(str(tmp_path / "sig.csv"))
+
+
+class TestNonAsciiText:
+    @pytest.mark.parametrize("name,text,load", [
+        ("c.hdr", "width: 1\n# caf\u00e9\n", h.load_cube),
+        ("m.mask", "01\n0\u00e9\n", h.load_mask),
+        ("sig.csv", "0.5\n1\u00e9\n", h.load_signature),
+        ("s.csv", "x,y,score\n0,0,1\u00e9\n", h.load_scoremap),
+    ], ids=["header", "mask", "signature", "scoremap"])
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path, name, text, load):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(FormatError, match=rf"{re.escape(str(path))}:2: non-ASCII byte"):
+            load(str(path))

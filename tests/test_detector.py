@@ -392,6 +392,29 @@ class TestOneFit:
         assert len(cem_calls) == 1
 
 
+class TestOneLayout:
+    def test_every_method_is_byte_identical_whatever_the_cube_origin(self, tmp_path):
+        # On this scene STD, SHR and W-SHR round differently when the
+        # spectra are coded from band-major memory.
+        cube, mask, signature = tiny_scene(seed=2)
+        values = cube.data.astype(np.float32).astype(np.float64)
+        cubes = {
+            "band-major": h.HsiCube(np.ascontiguousarray(values)),
+            "pixel-major": h.HsiCube(
+                np.ascontiguousarray(values.transpose(1, 2, 0)).transpose(2, 0, 1)),
+        }
+        for interleave in ("bsq", "bil"):
+            path = str(tmp_path / f"{interleave}.hdr")
+            h.save_cube(cubes["band-major"], path, interleave=interleave)
+            cubes[interleave] = h.load_cube(path)
+        maps = {origin: h.detect(c, signature, tiny_config(), list(detector.METHODS))
+                for origin, c in cubes.items()}
+        for origin, got in maps.items():
+            for method, smap in got.items():
+                assert smap.values.tobytes() == maps["band-major"][method].values.tobytes(), (
+                    origin, method)
+
+
 class TestPipeline:
     def test_wshr_deterministic_per_seed(self):
         cube, mask, signature = tiny_scene()

@@ -262,9 +262,9 @@ class TestStackedCodes:
         assert {1, 2, 3, 4} <= set(sizes)
 
     def test_matches_plain_per_row_greedy_for_any_row_layout(self):
-        # Strided rows (pixels of a band-sequential cube) and contiguous
-        # rows each give the codes the two-dimensional greedy gives them,
-        # one-atom codes included.
+        # Strided rows (as a caller may pass to sparse_codes; a cube's own
+        # pixels are contiguous) and contiguous rows each give the codes the
+        # two-dimensional greedy gives them, one-atom codes included.
         rng = np.random.default_rng(41)
         D = random_dictionary(rng, 16, 60)
         params = h.SolverParams(lam=0.1, max_nonzeros=4)
