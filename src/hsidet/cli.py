@@ -251,8 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    level = os.environ.get("HSI_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: HSI_LOG={level!r} is not a log level; use one of "
+              "DEBUG, INFO, WARNING, ERROR, CRITICAL", file=sys.stderr)
+        return 2
     logging.basicConfig(
-        level=os.environ.get("HSI_LOG", "WARNING").upper(),
+        level=level,
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )

@@ -21,7 +21,7 @@ class FormatError(ValueError):
     """Raised for malformed or inconsistent on-disk artifacts."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HsiCube:
     """A width x height x bands reflectance volume.
 
@@ -76,7 +76,7 @@ class HsiCube:
         return self.data.reshape(self.bands, -1).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """A bands x atoms matrix whose columns are unit-norm spectra."""
 
@@ -104,7 +104,7 @@ class Dictionary:
         return self.columns.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreMap:
     """Per-pixel scalar field in image layout; ``values`` has shape (height, width)."""
 
@@ -128,7 +128,7 @@ class ScoreMap:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthMask:
     """Binary target mask; ``labels`` has shape (height, width), 1 = target."""
 

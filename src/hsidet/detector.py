@@ -31,7 +31,7 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
     then its unit-norm dual-window ring (``hierdict.local_background``), or
     no ring when ``window`` is None.
 
-    Yields, for each image row in turn, the row's spectra, the pool
+    Yields, for each image row in turn, the row's spectra, the pool array
     [shared | unit-norm nonzero pixels of the row's window band], the
     (width, pool atoms) mask of each pixel's atoms in the pool, and the
     pixels' code block (``sparse.code_block``) in pool columns.  An empty
@@ -53,10 +53,10 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
     for y in range(cube.height):
         row = pixels[y * width:(y + 1) * width]
         if window is None:
-            pool, masks = shared, every
+            pool, masks = shared.columns, every
         else:
             band, rings = window_rings(nonzero, y, range(width), window)
-            pool = Dictionary(np.hstack([shared.columns, unit[:, band]]))
+            pool = np.hstack([shared.columns, unit[:, band]])
             masks = np.hstack([every, rings])
         yield row, pool, masks, code_block(row, pool, params, masks)
 
@@ -71,9 +71,9 @@ def residual_maps(cube: HsiCube, D_t: Dictionary, D_b_global: Dictionary,
         raise ValueError("target dictionary bands do not match cube")
     # Every pixel shares D_t, so its codes are stacked.
     pixels = cube.pixels()
-    r_t = block_residuals(pixels, D_t.columns, *code_block(pixels, D_t, params))
+    r_t = block_residuals(pixels, D_t.columns, *code_block(pixels, D_t.columns, params))
     r_b = np.concatenate([
-        block_residuals(row, pool.columns, *block)
+        block_residuals(row, pool, *block)
         for row, pool, _, block in _ring_codes(cube, D_b_global, window, params)
     ])
     shape = (cube.height, cube.width)
@@ -132,6 +132,7 @@ class Fit:
 
     def __init__(self, cube: HsiCube, d: np.ndarray, config: DetectorConfig):
         self.cube, self.d, self.config = cube, d, config
+        self.params = SolverParams(lam=config.lam, max_nonzeros=config.k)
 
     @cached_property
     def cem(self) -> ScoreMap:
@@ -158,8 +159,7 @@ class Fit:
 
     @cached_property
     def residuals(self) -> tuple[ScoreMap, ScoreMap]:
-        params = SolverParams(lam=self.config.lam, max_nonzeros=self.config.k)
-        return residual_maps(self.cube, self.D_t, self.D_b, self.config.window, params)
+        return residual_maps(self.cube, self.D_t, self.D_b, self.config.window, self.params)
 
 
 def hierarchical_residuals(cube: HsiCube, d: np.ndarray,
@@ -180,19 +180,18 @@ def wshr_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMa
 
 
 def _std(fit: Fit) -> ScoreMap:
-    cube, D_t, config = fit.cube, fit.D_t, fit.config
-    params = SolverParams(lam=config.lam, max_nonzeros=config.k)
+    cube, D_t = fit.cube, fit.D_t
     n_t = D_t.n_atoms
     scores = []
-    for row, pool, masks, block in _ring_codes(cube, D_t, config.window, params):
-        dense = block_dense(*block, pool.n_atoms)
+    for row, pool, masks, block in _ring_codes(cube, D_t, fit.config.window, fit.params):
+        dense = block_dense(*block, pool.shape[1])
         rec_t = (D_t.columns[None] @ dense[:, :n_t, None])[:, :, 0]
         # r_b spans each pixel's whole ring, zero coefficients included, in
         # the ring's own column order: the rounding of rec_b depends on both.
         ring = masks[:, n_t:]
         cols = np.argsort(~ring, axis=1, kind="stable")[:, :ring.sum(axis=1).max()]
         cols = np.where(np.take_along_axis(ring, cols, axis=1), n_t + cols, -1)
-        r_b = block_residuals(row, pool.columns, cols, np.take_along_axis(dense, cols, axis=1))
+        r_b = block_residuals(row, pool, cols, np.take_along_axis(dense, cols, axis=1))
         scores.append(r_b - np.sqrt(_row_dots(row - rec_t)))
     return ScoreMap(np.concatenate(scores).reshape(cube.height, cube.width))
 

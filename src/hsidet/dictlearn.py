@@ -45,9 +45,12 @@ class OdlParams:
 
 
 def _as_sample_matrix(samples) -> np.ndarray:
-    X = np.asarray(samples, dtype=np.float64)
+    """``samples`` as one C-contiguous float64 (n_samples, bands) stack."""
+    X = np.ascontiguousarray(samples, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a nonempty (n_samples, bands) array")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("training set contains non-finite values")
     if np.all(np.linalg.norm(X, axis=1) == 0.0):
         raise ValueError("training set contains only zero samples")
     return X
@@ -124,7 +127,7 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
         for start in range(0, n, params.batch_size):
             batch = order[start:start + params.batch_size]
             # D only changes after the whole batch is coded.
-            support, coef = code_block(X[batch], Dictionary(D), solver)
+            support, coef = code_block(X[batch], D, solver)
             atoms = support >= 0
             used[support[atoms]] = True
             coupled[support[atoms & (atoms.sum(axis=1) > 1)[:, None]]] = True
@@ -147,7 +150,7 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
         # Replace dead atoms with the worst-reconstructed (largest-residual)
         # training samples, normalized, cycling through them in that order; a
         # zero sample gives way to the worst-reconstructed nonzero one.
-        residuals = block_residuals(X, D, *code_block(X, Dictionary(D), solver))
+        residuals = block_residuals(X, D, *code_block(X, D, solver))
         worst = np.argsort(-residuals)
         norms = np.sqrt(_row_dots(X))
         picks = worst[np.arange(dead.size) % n]

@@ -47,9 +47,7 @@ def normalize_atoms(D: Dictionary) -> Dictionary:
 def unit_pixels(cube: HsiCube) -> tuple[np.ndarray, np.ndarray]:
     """Every pixel spectrum divided by its norm, as the columns of a (bands,
     N) array in row-major pixel order, and the (height, width) mask of
-    nonzero-norm pixels (the zero-norm columns stay zero).  Each column is
-    laid out contiguously, as a gathered ring is, so its norm rounds the
-    same."""
+    nonzero-norm pixels (the zero-norm columns stay zero)."""
     flat = cube.pixels().T
     norms = np.linalg.norm(flat, axis=0)
     nonzero = norms > 0.0

@@ -16,7 +16,7 @@ import numpy as np
 from .cube import GroundTruthMask, ScoreMap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
     """(false-alarm rate, detection probability) points, sorted by FAR,
     with the score threshold producing each point."""

@@ -32,7 +32,8 @@ def _regularized(mat: np.ndarray) -> np.ndarray:
         return mat
     m = mat.shape[0]
     loaded = mat + (RIDGE_EPSILON * np.trace(mat) / m) * np.eye(m)
-    if not np.isfinite(np.linalg.cond(loaded)) or np.linalg.cond(loaded) > 1e15:
+    cond = np.linalg.cond(loaded)
+    if not cond <= 1e15:                        # NaN and inf fail too
         raise SingularStatisticsError("statistics singular even after ridge loading")
     return loaded
 

@@ -16,7 +16,9 @@ size <= ``MAX_NONZEROS``.  Signs are unconstrained.
 
 A stack's codes are one block (``code_block``): (n, cap) atom indices, each
 row's ascending and then -1 padding, and (n, cap) coefficients, 0.0 at the
-padding, which an exact-zero coefficient joins.  The pipeline reads blocks
+padding, which an exact-zero coefficient joins.  ``code_block`` checks
+nothing: its callers pass a C-contiguous, finite float64 stack and a plain
+matrix, so a code depends on values, not layout.  The pipeline reads blocks
 (``block_residuals``, ``block_dense``); only the public ``sparse_code`` and
 ``sparse_codes`` build ``SparseCode``s.
 """
@@ -49,7 +51,7 @@ class SolverParams:
             raise ValueError(f"max_nonzeros must lie in [1, {MAX_NONZEROS}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseCode:
     """Sparse coefficients: strictly increasing atom indices with values."""
 
@@ -204,10 +206,7 @@ def _greedy(X, mat, cap, params, mask=None):
         mag[rows[:, None], support] = 0.0
         j = mag.argmax(axis=1)
         grow = mag[rows, j] > lam + 1e-15       # else the soft threshold zeroes it
-        # The first re-solve codes every row as the caller laid it out: a
-        # one-atom Gram right-hand side is a BLAS dot product, whose rounding
-        # depends on the stride of x.  Later steps drop the rows that stop.
-        if step and not grow.all():
+        if not grow.all():
             if not grow.any():
                 break
             live, Xl, xx, best, support, coef, j = (
@@ -241,21 +240,15 @@ def _enumerated_size(max_nonzeros, n_atoms):
     return size
 
 
-def code_block(X: np.ndarray, D: Dictionary, params: SolverParams,
+def code_block(X: np.ndarray, mat: np.ndarray, params: SolverParams,
                mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The codes ``sparse_codes`` gives the rows of the float (n, bands)
-    array ``X``, as one block."""
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite input spectrum")
-    mat = D.columns
-    if X.shape[1:] != (mat.shape[0],):
-        raise ValueError(
-            f"spectrum length {X.shape[1:]} does not match dictionary bands {mat.shape[0]}"
-        )
+    """The codes ``sparse_codes`` gives the rows of ``X`` against ``mat``, as
+    one block.  ``X`` is a C-contiguous, finite float64 (n, bands) stack and
+    ``mat`` a (bands, atoms) array; neither is checked here."""
     n, n_atoms = X.shape[0], mat.shape[1]
     cap = min(params.max_nonzeros, n_atoms)
     support, coef = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))
-    # A row's own dictionary is its mask row's atoms, or else all of D.  One
+    # A row's own dictionary is its mask row's atoms, or else all of mat.  One
     # small enough is swept exactly, support by support: greedy selection
     # can land in local optima on coherent dictionaries, and at this size
     # exactness is cheap.  Every other row joins a stacked greedy pass.
@@ -266,15 +259,12 @@ def code_block(X: np.ndarray, D: Dictionary, params: SolverParams,
         best, a = _enumerate_supports(X[i], mat, atoms, params)
         support[i, :len(best)], coef[i, :len(best)] = best, a
     # Stack heights keep the correlation block and the largest sign-pattern
-    # residual block near _STACK_ELEMENTS doubles each.  Stacks are slices
-    # of X, so every row keeps the caller's layout.
+    # residual block near _STACK_ELEMENTS doubles each.
     rows = max(1, _STACK_ELEMENTS // max(n_atoms, mat.shape[0] << cap))
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], ~enumerated, [0]))))
-    for lo, hi in zip(edges[::2], edges[1::2]):
-        for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
-            support[start:stop], coef[start:stop] = _greedy(
-                X[start:stop], mat, cap, params, None if mask is None else mask[start:stop])
+    greedy = np.flatnonzero(~enumerated)
+    for start in range(0, greedy.size, rows):
+        i = greedy[start:start + rows]
+        support[i], coef[i] = _greedy(X[i], mat, cap, params, None if mask is None else mask[i])
     # Exact zeros are padding too; each row's atoms ascend.
     pad = coef == 0.0
     order = np.argsort(np.where(pad, n_atoms, support), axis=1)
@@ -294,7 +284,8 @@ def sparse_codes(X: np.ndarray, D: Dictionary, params: SolverParams,
     computed together.  Each is the code ``sparse_code`` gives its row, up
     to how a tie between atom correlations within rounding is broken: a
     stack's correlations are one matrix product, a single row's a
-    matrix-vector product.
+    matrix-vector product.  ``X`` is copied to one C-contiguous float64
+    stack first, so the codes depend on its values, not its layout.
 
     A boolean ``mask`` (n_spectra, atoms) makes ``D`` a pool from which
     each row draws its own dictionary: row i is coded against
@@ -304,14 +295,18 @@ def sparse_codes(X: np.ndarray, D: Dictionary, params: SolverParams,
     row's are.  A pool column's correlation can still round differently
     from the same atom's in the row's own smaller dictionary, which
     matters only at a tie within rounding."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("spectra must be a 2-D (n_spectra, bands) array")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite input spectrum")
+    if X.shape[1] != D.bands:
+        raise ValueError(f"spectrum length {X.shape[1]} does not match dictionary bands {D.bands}")
     if mask is not None:
         mask = np.asarray(mask)
         if mask.dtype != bool or mask.shape != (X.shape[0], D.n_atoms):
             raise ValueError("mask must be a boolean (n_spectra, atoms) array")
-    support, coef = code_block(X, D, params, mask)
+    support, coef = code_block(X, D.columns, params, mask)
     return [SparseCode(s[s >= 0], c[s >= 0], D.n_atoms) for s, c in zip(support, coef)]
 
 

@@ -410,3 +410,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--preset", "bogus", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_unknown_log_level_exits_two_before_any_work(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HSI_LOG", "bogus")
+        out = tmp_path / "scene"
+        assert main(["synth", "--preset", "sparse-targets", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: HSI_LOG=")
+        assert "'BOGUS'" in err[0] and "DEBUG, INFO, WARNING, ERROR, CRITICAL" in err[0]
+        assert not out.exists()

@@ -15,6 +15,24 @@ def random_cube(rng, b=3, height=4, width=5):
     return h.HsiCube(data)
 
 
+ARRAY_TYPES = {
+    "HsiCube": lambda: h.HsiCube(np.ones((2, 2, 2))),
+    "Dictionary": lambda: h.Dictionary(np.eye(2)),
+    "ScoreMap": lambda: h.ScoreMap(np.ones((2, 2))),
+    "GroundTruthMask": lambda: h.GroundTruthMask(np.eye(2, dtype=int)),
+    "RocCurve": lambda: h.RocCurve([0.0, 1.0], [0.0, 1.0], [1.0, 0.0]),
+    "SparseCode": lambda: h.SparseCode([0, 2], [1.0, -1.0], 3),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_TYPES.values(), ids=ARRAY_TYPES.keys())
+def test_array_types_compare_by_identity_and_hash(make):
+    a, b = make(), make()
+    assert a != b and not a == b     # equal values, distinct objects: no ambiguous truth value
+    assert a == a
+    assert len({a, b}) == 2 and a in {a}
+
+
 class TestHsiCube:
     def test_rejects_nan(self):
         data = np.ones((2, 2, 2))

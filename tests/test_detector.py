@@ -391,6 +391,21 @@ class TestOneFit:
         assert len(fits) == 1
         assert len(cem_calls) == 1
 
+    def test_five_methods_build_only_the_learned_dictionaries(self, monkeypatch):
+        # The initial draw and the result of each of the two ODL runs; the
+        # coder takes plain matrices, so no pool or mini-batch is wrapped.
+        calls = []
+        post_init = h.Dictionary.__post_init__
+
+        def counting(self):
+            calls.append(self.columns.shape)
+            post_init(self)
+
+        monkeypatch.setattr(h.Dictionary, "__post_init__", counting)
+        cube, mask, signature = h.generate(h.PRESETS["sparse-targets"])
+        h.detect(cube, signature, h.preset_config("sparse-targets"), list(detector.METHODS))
+        assert len(calls) == 4, calls
+
 
 class TestOneLayout:
     def test_every_method_is_byte_identical_whatever_the_cube_origin(self, tmp_path):

@@ -176,6 +176,13 @@ class TestOdlLearn:
         with pytest.raises(ValueError):
             h.odl_learn(np.zeros((5, 4)), h.OdlParams(n_atoms=2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        X = np.ones((5, 4))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="^training set contains non-finite values$"):
+            h.odl_learn(X, h.OdlParams(n_atoms=2))
+
     def test_dead_atoms_skip_zero_samples(self):
         # Every residual is zero, so the worst-reconstructed sample is a zero
         # one; the dead atoms 1 and 2 take the nonzero sample instead.
@@ -218,6 +225,22 @@ class TestStackedOdl:
         # three epochs of batches of 8, 8 and 4 samples, then one call that
         # codes every sample to rank the replacements of dead atoms
         assert calls == [8, 8, 4] * 3 + [20]
+
+    def test_sample_layout_does_not_change_the_atoms(self, monkeypatch):
+        # More atoms than samples, so the dead-atom pass codes every sample.
+        calls = []
+        code_block = dictlearn.code_block
+
+        def counting(X, D, params):
+            calls.append(len(X))
+            return code_block(X, D, params)
+
+        monkeypatch.setattr(dictlearn, "code_block", counting)
+        X = np.random.default_rng(9).normal(size=(20, 10))
+        params = h.OdlParams(n_atoms=40, epochs=3, batch_size=8, seed=1)
+        learned = [h.odl_learn(rows, params) for rows in (X, np.asfortranarray(X))]
+        assert calls[9] == calls[-1] == 20
+        assert learned[0].columns.tobytes() == learned[1].columns.tobytes()
 
     def test_atom_update_matches_sequential_pass(self):
         # Mostly one-atom codes (vector step) with a few shared codes

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hsidet as h
+from hsidet import predetect
 
 
 def make_cube(rng, bands=4, height=5, width=5):
@@ -114,6 +115,51 @@ class TestAce:
                 for x in X
             ])
             assert np.allclose(h.ace_detect(cube, d).values.ravel(), expected, atol=1e-10)
+
+
+class TestRidgeLoading:
+    """Ill-conditioned statistics are ridge loaded; singular ones raise."""
+
+    def duplicated_band_cube(self):
+        data = np.random.default_rng(3).random((4, 5, 5)) + 0.1
+        data[3] = data[2]                       # cond(R) near 1e34
+        return h.HsiCube(data)
+
+    def loads(self, monkeypatch):
+        calls = []
+        regularized = predetect._regularized
+
+        def spying(mat):
+            out = regularized(mat)
+            calls.append(out - mat)
+            return out
+
+        monkeypatch.setattr(predetect, "_regularized", spying)
+        return calls
+
+    @pytest.mark.parametrize("detector", ["cem", "ace"])
+    def test_duplicated_band_gets_ridge_loading(self, monkeypatch, detector):
+        cube = self.duplicated_band_cube()
+        d = cube.pixel_at(2, 3)
+        calls = self.loads(monkeypatch)
+        scores = getattr(h, f"{detector}_detect")(cube, d).values
+        (added,) = calls
+        ridge = np.diag(added)
+        assert ridge.min() > 0.0 and np.allclose(ridge, ridge[0], rtol=1e-6, atol=0)
+        assert np.allclose(added, np.diag(ridge), rtol=0, atol=1e-15)
+        if detector == "cem":
+            assert abs(scores[3, 2] - 1.0) < 1e-9
+        else:
+            assert np.all(np.isfinite(scores))
+            assert scores.min() >= 0.0 and scores.max() <= 1.0
+
+    def test_all_zero_cube_is_singular_for_cem(self):
+        with pytest.raises(predetect.SingularStatisticsError):
+            h.cem_detect(h.HsiCube(np.zeros((3, 2, 2))), np.ones(3))
+
+    def test_constant_cube_is_singular_for_ace(self):
+        with pytest.raises(predetect.SingularStatisticsError):
+            h.ace_detect(h.HsiCube(np.full((3, 2, 2), 0.5)), np.ones(3))
 
 
 class TestSelectTrainingSets:

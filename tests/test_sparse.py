@@ -262,17 +262,17 @@ class TestStackedCodes:
         assert {1, 2, 3, 4} <= set(sizes)
 
     def test_matches_plain_per_row_greedy_for_any_row_layout(self):
-        # Strided rows (as a caller may pass to sparse_codes; a cube's own
-        # pixels are contiguous) and contiguous rows each give the codes the
-        # two-dimensional greedy gives them, one-atom codes included.
+        # Codes depend on values, not layout: an F-ordered stack (strided
+        # rows) and a C-ordered one give bit-identical codes, those the
+        # two-dimensional greedy gives the contiguous rows, one-atom codes
+        # included.
         rng = np.random.default_rng(41)
         D = random_dictionary(rng, 16, 60)
         params = h.SolverParams(lam=0.1, max_nonzeros=4)
         X = mixed_rows(rng, D, 40)
         X[1::5] = 3.0 * D[:, :8].T + 0.01 * rng.normal(size=(8, 16))
-        strided = np.asfortranarray(X)
-        for rows in (X, strided):
-            want = [per_row_greedy(x, D, params.lam, 4) for x in rows]
+        want = [per_row_greedy(x, D, params.lam, 4) for x in X]
+        for rows in (X, np.asfortranarray(X)):
             assert_same_codes(h.sparse_codes(rows, h.Dictionary(D), params), want)
             assert_same_codes(codes_per_row(rows, D, params), want)
         assert sum(c.indices.size == 1 for c in want) >= 8
