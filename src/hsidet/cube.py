@@ -10,8 +10,9 @@ in-memory numerics are float64.
 
 from __future__ import annotations
 
-import math
+import io
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,10 +174,12 @@ def _ascii_lines(path: str) -> list[str]:
     """The lines of an ASCII text file; a non-ASCII byte raises
     ``FormatError`` naming the file and the line."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        lines = fh.readlines()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.isascii():
-            raise FormatError(f"{path}:{lineno}: non-ASCII byte")
+        text = fh.read()
+    # A non-ASCII byte decodes to a lone surrogate, so one check covers the file.
+    lines = io.StringIO(text).readlines()
+    if not text.isascii():
+        lineno = next(i for i, line in enumerate(lines, start=1) if not line.isascii())
+        raise FormatError(f"{path}:{lineno}: non-ASCII byte")
     return lines
 
 
@@ -222,11 +225,10 @@ def load_cube(header_path: str) -> HsiCube:
         data = raw.reshape(b, h, w)
     else:  # bil: row-major (row, band, column)
         data = raw.reshape(h, b, w).transpose(1, 0, 2)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        b0, y0, x0 = bad[0]
-        raise FormatError(f"{raw_path}: non-finite value at band={b0}, y={y0}, x={x0}")
-    return HsiCube(data)
+    try:
+        return HsiCube(data)    # the one finiteness scan; its error names the value
+    except ValueError as exc:
+        raise FormatError(f"{raw_path}: {exc}") from exc
 
 
 def save_cube(cube: HsiCube, header_path: str, interleave: str = "bsq") -> None:
@@ -258,11 +260,57 @@ def _strip_known_ext(path: str) -> str:
 def save_scoremap(smap: ScoreMap, path: str) -> None:
     base = _strip_known_ext(path)
     smap.values.astype("<f4").tofile(base + ".f32")
+    body = "".join([f"{x},{y},{score!r}\n"
+                    for y, row in enumerate(smap.values.tolist())
+                    for x, score in enumerate(row)])
     with open(base + ".csv", "w", encoding="ascii") as fh:
-        fh.write("x,y,score\n")
-        for y in range(smap.height):
-            for x in range(smap.width):
-                fh.write(f"{x},{y},{float(smap.values[y, x])!r}\n")
+        fh.write("x,y,score\n" + body)
+
+
+_SCORE_ROW = np.dtype([("x", np.intp), ("y", np.intp), ("score", np.float64)])
+
+
+def _score_rows(csv_path: str, body: list[str]) -> np.ndarray:
+    """The ``x,y,score`` rows of ``body`` as one ``_SCORE_ROW`` array.
+
+    ``np.loadtxt`` parses them in one call, but it skips blank lines, names
+    no bad line and rejects numerals that ``int`` and ``float`` accept
+    (``1_0``).  So if it fails, warns or drops a line, the rows are parsed
+    one at a time up to the first bad line, whose error is raised only after
+    the rows above it pass ``_check_rows``: the first faulty line is the one
+    reported, whatever its fault."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # e.g. a body of blank lines
+            rows = np.loadtxt(body, delimiter=",", comments=None, dtype=_SCORE_ROW, ndmin=1)
+        if rows.size == len(body):
+            return rows
+    except (ValueError, Warning):
+        pass
+    parsed = []
+    for lineno, line in enumerate(body, start=2):
+        try:
+            x_s, y_s, s_s = line.strip().split(",")
+            parsed.append((int(x_s), int(y_s), float(s_s)))
+        except ValueError as exc:
+            _check_rows(csv_path, body, np.array(parsed, dtype=_SCORE_ROW))
+            raise FormatError(
+                f"{csv_path}:{lineno}: bad x,y,score row {line.strip()!r}"
+            ) from exc
+    return np.array(parsed, dtype=_SCORE_ROW)
+
+
+def _check_rows(csv_path: str, body: list[str], rows: np.ndarray) -> None:
+    """Reject the first row with a negative coordinate or a non-finite score."""
+    negative = (rows["x"] < 0) | (rows["y"] < 0)
+    bad = np.flatnonzero(negative | ~np.isfinite(rows["score"]))
+    if not bad.size:
+        return
+    row = int(bad[0])
+    if negative[row]:
+        raise FormatError(f"{csv_path}:{row + 2}: negative coordinate")
+    s_s = body[row].strip().split(",")[2]
+    raise FormatError(f"{csv_path}:{row + 2}: non-finite score {s_s!r}")
 
 
 def load_scoremap(path: str) -> ScoreMap:
@@ -270,38 +318,26 @@ def load_scoremap(path: str) -> ScoreMap:
     dimensions and the full-precision values; the float32 ``.f32`` raster
     is not read.  The rows must cover every (x, y) cell exactly once."""
     csv_path = _strip_known_ext(path) + ".csv"
-    xs, ys, scores = [], [], []
     lines = _ascii_lines(csv_path)
     header = lines[0].strip() if lines else ""
     if header != "x,y,score":
         raise FormatError(f"{csv_path}: bad score-map CSV header: {header!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            x_s, y_s, s_s = line.strip().split(",")
-            x, y, score = int(x_s), int(y_s), float(s_s)
-        except ValueError as exc:
-            raise FormatError(
-                f"{csv_path}:{lineno}: bad x,y,score row {line.strip()!r}"
-            ) from exc
-        if x < 0 or y < 0:
-            raise FormatError(f"{csv_path}:{lineno}: negative coordinate")
-        if not math.isfinite(score):
-            raise FormatError(f"{csv_path}:{lineno}: non-finite score {s_s!r}")
-        xs.append(x)
-        ys.append(y)
-        scores.append(score)
-    if not scores:
+    body = lines[1:]
+    if not body:
         raise FormatError(f"{csv_path}: no score rows")
-    w, h = max(xs) + 1, max(ys) + 1
-    cells = np.asarray(ys) * w + np.asarray(xs)
+    rows = _score_rows(csv_path, body)
+    _check_rows(csv_path, body, rows)
+    xs, ys = rows["x"], rows["y"]
+    w, h = int(xs.max()) + 1, int(ys.max()) + 1
+    cells = ys * w + xs
     _, first = np.unique(cells, return_index=True)
     if first.size != cells.size:
         row = int(np.setdiff1d(np.arange(cells.size), first)[0])
         raise FormatError(f"{csv_path}:{row + 2}: repeated cell x={xs[row]}, y={ys[row]}")
-    if len(scores) != w * h:
-        raise FormatError(f"{csv_path}: expected {w * h} rows, found {len(scores)}")
+    if rows.size != w * h:
+        raise FormatError(f"{csv_path}: expected {w * h} rows, found {rows.size}")
     values = np.empty((h, w), dtype=np.float64)
-    values[np.asarray(ys), np.asarray(xs)] = scores
+    values[ys, xs] = rows["score"]
     return ScoreMap(values)
 
 
@@ -322,15 +358,16 @@ def load_mask(path: str) -> GroundTruthMask:
         line = line.strip()
         if not line:
             continue
-        if set(line) - {"0", "1"}:
+        if line.strip("01"):
             raise FormatError(f"{path}:{lineno}: mask rows must be 0/1 strings")
-        rows.append([int(c) for c in line])
+        rows.append(line)
     if not rows:
         raise FormatError(f"{path}: empty mask")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise FormatError(f"{path}: ragged mask rows (widths {sorted(widths)})")
-    return GroundTruthMask(np.array(rows, dtype=np.uint8))
+    grid = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return GroundTruthMask((grid - ord("0")).reshape(len(rows), -1))
 
 
 # ---------------------------------------------------------------------------

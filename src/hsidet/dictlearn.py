@@ -59,7 +59,12 @@ def _as_sample_matrix(samples) -> np.ndarray:
 def init_dictionary(samples, n_atoms: int, seed: int) -> Dictionary:
     """Seed atoms: a without-replacement draw of training samples, cycling with
     small Gaussian jitter when more atoms than samples are requested."""
-    X = _as_sample_matrix(samples)
+    return Dictionary(_initial_atoms(_as_sample_matrix(samples), n_atoms, seed))
+
+
+def _initial_atoms(X: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:
+    """``init_dictionary``'s atoms as a fresh C-contiguous (bands, n_atoms)
+    array, drawn from a checked ``_as_sample_matrix`` stack."""
     nonzero = X[np.linalg.norm(X, axis=1) > 0.0]
     n = nonzero.shape[0]
     rng = np.random.default_rng(seed)
@@ -73,7 +78,7 @@ def init_dictionary(samples, n_atoms: int, seed: int) -> Dictionary:
     norms = np.sqrt(_row_dots(atoms))
     if np.any(norms == 0.0):
         raise ValueError("zero-norm atom during initialization")
-    return Dictionary(np.ascontiguousarray((atoms / norms[:, None]).T))
+    return np.ascontiguousarray((atoms / norms[:, None]).T)
 
 
 def _update_atoms(D, A, B, coupled) -> None:
@@ -112,7 +117,7 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
     X = _as_sample_matrix(samples)
     n, m = X.shape
     k = params.n_atoms
-    D = init_dictionary(X, k, params.seed).columns.copy()
+    D = _initial_atoms(X, k, params.seed)
     rng = np.random.default_rng(params.seed + 1)
     solver = SolverParams(lam=params.lam, max_nonzeros=min(params.sparsity, k))
 

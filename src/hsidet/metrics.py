@@ -106,10 +106,10 @@ def write_comparison(
         for name, value, _ in rows:
             fh.write(f"{name},{value:.6f}\n")
     for name, _, curve in rows:
+        points = zip(curve.thresholds.tolist(), curve.far.tolist(), curve.pd.tolist())
+        body = "".join([f"{thr!r},{x!r},{y!r}\n" for thr, x, y in points])
         with open(os.path.join(out_dir, f"roc_{name}.csv"), "w", encoding="ascii") as fh:
-            fh.write("threshold,far,pd\n")
-            for thr, x, y in zip(curve.thresholds, curve.far, curve.pd):
-                fh.write(f"{float(thr)!r},{float(x)!r},{float(y)!r}\n")
+            fh.write("threshold,far,pd\n" + body)
     _write_svg(rows, os.path.join(out_dir, "roc.svg"))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cube import HsiCube, ScoreMap
+from .sparse import _row_dots
 
 RIDGE_EPSILON = 1e-6       # ridge loading eps * trace/m applied when ill-conditioned
 _COND_LIMIT = 1e12
@@ -71,10 +72,16 @@ def ace_detect(cube: HsiCube, d: np.ndarray) -> ScoreMap:
     mu = X.mean(axis=0)
     Xc = X - mu
     sigma = _regularized(Xc.T @ Xc / X.shape[0])
-    sinv_d = np.linalg.solve(sigma, d)
-    sinv_xc = np.linalg.solve(sigma, Xc.T)      # (bands, N)
-    num = (Xc @ sinv_d) ** 2
-    den = float(d @ sinv_d) * np.einsum("ij,ji->i", Xc, sinv_xc)
+    # Whiten once with Sigma = L L^T: x^T Sigma^-1 y = (L^-1 x) . (L^-1 y),
+    # so every pixel costs one row of a GEMM instead of a solve.
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(sigma))
+    except np.linalg.LinAlgError as exc:
+        raise SingularStatisticsError(f"covariance not positive definite: {exc}") from exc
+    Y = Xc @ l_inv.T
+    dw = l_inv @ d
+    num = (Y @ dw) ** 2
+    den = float(dw @ dw) * _row_dots(Y)          # a sum of squares: never negative
     scores = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return ScoreMap(scores.reshape(cube.height, cube.width))
 

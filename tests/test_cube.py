@@ -152,6 +152,16 @@ class TestCubeIO:
         with pytest.raises(FormatError, match="non-finite"):
             h.load_cube(str(hdr))
 
+    def test_non_finite_raw_value_is_named_by_position(self, tmp_path):
+        # BIL raw order is (row, band, column): value 5 is band 0, y 1, x 1.
+        hdr = tmp_path / "c.hdr"
+        hdr.write_text("width: 2\nheight: 2\nbands: 2\ndtype: float32\ninterleave: bil\n")
+        raw = np.ones(8, dtype="<f4")
+        raw[[5, 7]] = [np.inf, np.nan]
+        raw.tofile(tmp_path / "c.raw")
+        with pytest.raises(FormatError, match=r"c\.raw: non-finite value at band=0, y=1, x=1$"):
+            h.load_cube(str(hdr))
+
     @pytest.mark.parametrize("interleave", ["bsq", "bil"])
     def test_round_trip_identity(self, tmp_path, interleave):
         cube = random_cube(np.random.default_rng(0))
@@ -186,6 +196,46 @@ class TestScoreMapIO:
         h.save_scoremap(smap, str(tmp_path / "s"))
         again = h.load_scoremap(str(tmp_path / "s"))
         assert np.array_equal(smap.values, again.values)
+
+    def test_csv_golden_bytes(self, tmp_path):
+        # Every score is written as its shortest round-tripping repr.
+        smap = h.ScoreMap(np.array([[0.0, -0.0, 5e-324], [1e-5, 1e16, 1 / 3]]))
+        h.save_scoremap(smap, str(tmp_path / "s"))
+        assert (tmp_path / "s.csv").read_bytes() == (
+            b"x,y,score\n0,0,0.0\n1,0,-0.0\n2,0,5e-324\n"
+            b"0,1,1e-05\n1,1,1e+16\n2,1,0.3333333333333333\n"
+        )
+
+    def test_full_size_map_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((256, 256)) * 10.0 ** rng.integers(-300, 30, (256, 256))
+        smap = h.ScoreMap(values)
+        h.save_scoremap(smap, str(tmp_path / "s"))
+        again = h.load_scoremap(str(tmp_path / "s"))
+        assert again.values.tobytes() == smap.values.tobytes()
+
+    @pytest.mark.parametrize("line", ["", "# 1,0,2.0", "1,0,2.0,3.0"],
+                             ids=["blank", "comment", "four-fields"])
+    def test_bad_row_names_its_line(self, tmp_path, line):
+        (tmp_path / "s.csv").write_text(f"x,y,score\n0,0,1.0\n{line}\n1,0,2.0\n")
+        with pytest.raises(FormatError, match=rf"s\.csv:3: bad x,y,score row {re.escape(repr(line))}$"):
+            h.load_scoremap(str(tmp_path / "s"))
+
+    def test_first_bad_line_wins_whatever_its_fault(self, tmp_path):
+        body = "0,0,1.0\n1,0,nan\n-1,1,2.0\n1,1\n"
+        (tmp_path / "s.csv").write_text("x,y,score\n" + body)
+        with pytest.raises(FormatError, match=r"s\.csv:3: non-finite score 'nan'$"):
+            h.load_scoremap(str(tmp_path / "s"))
+        (tmp_path / "s.csv").write_text("x,y,score\n" + body.replace("nan", "2.0"))
+        with pytest.raises(FormatError, match=r"s\.csv:4: negative coordinate$"):
+            h.load_scoremap(str(tmp_path / "s"))
+
+    def test_rows_parse_as_int_and_float_do(self, tmp_path):
+        # Underscores and padding are valid Python numerals; rows may come in any order.
+        (tmp_path / "s.csv").write_text("x,y,score\n 1_0 ,0,2.5\n" + "".join(
+            f"{x},0,{x}.0\n" for x in range(10)))
+        assert h.load_scoremap(str(tmp_path / "s")).values.tolist() == [
+            [float(x) for x in range(10)] + [2.5]]
 
     def test_raster_and_csv_written(self, tmp_path):
         h.save_scoremap(h.ScoreMap(np.ones((2, 2))), str(tmp_path / "s"))

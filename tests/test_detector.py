@@ -392,8 +392,9 @@ class TestOneFit:
         assert len(cem_calls) == 1
 
     def test_five_methods_build_only_the_learned_dictionaries(self, monkeypatch):
-        # The initial draw and the result of each of the two ODL runs; the
-        # coder takes plain matrices, so no pool or mini-batch is wrapped.
+        # The result of each of the two ODL runs: the initial draw is a plain
+        # array, and the coder takes plain matrices, so no pool or mini-batch
+        # is wrapped either.
         calls = []
         post_init = h.Dictionary.__post_init__
 
@@ -404,7 +405,7 @@ class TestOneFit:
         monkeypatch.setattr(h.Dictionary, "__post_init__", counting)
         cube, mask, signature = h.generate(h.PRESETS["sparse-targets"])
         h.detect(cube, signature, h.preset_config("sparse-targets"), list(detector.METHODS))
-        assert len(calls) == 4, calls
+        assert calls == [(30, 10), (30, 64)]
 
 
 class TestOneLayout:

@@ -11,6 +11,18 @@ def make_cube(rng, bands=4, height=5, width=5):
     return h.HsiCube(rng.random((bands, height, width)) + 0.1)
 
 
+def ace_oracle(cube, d, ridge=0.0):
+    """ACE per pixel from the dense inverse of the (ridge-loaded) covariance."""
+    X = cube.pixels()
+    mu = X.mean(axis=0)
+    inv = np.linalg.inv((X - mu).T @ (X - mu) / X.shape[0] + ridge)
+    return np.array([
+        (d @ inv @ (x - mu)) ** 2 / ((d @ inv @ d) * ((x - mu) @ inv @ (x - mu)))
+        if (x - mu) @ inv @ (x - mu) > 0 else 0.0
+        for x in X
+    ])
+
+
 class TestCem:
     def test_signature_pixel_scores_one(self):
         rng = np.random.default_rng(0)
@@ -73,11 +85,13 @@ class TestCem:
 
 class TestAce:
     def test_scores_within_unit_interval(self):
-        rng = np.random.default_rng(5)
-        cube = make_cube(rng, bands=6, height=8, width=8)
-        d = rng.random(6) + 0.1
-        v = h.ace_detect(cube, d).values
-        assert v.min() >= 0.0 and v.max() <= 1.0 + 1e-9
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            bands = int(rng.integers(2, 12))
+            cube = make_cube(rng, bands=bands, height=8, width=8)
+            d = rng.normal(size=bands)
+            v = h.ace_detect(cube, d).values
+            assert v.min() >= 0.0 and v.max() <= 1.0 + 1e-9
 
     def test_mean_pixel_scores_zero(self):
         # third pixel is the mean of the other two, hence the global mean
@@ -87,6 +101,13 @@ class TestAce:
         cube = h.HsiCube(X.T.reshape(3, 1, 3))
         d = np.array([1.0, 0.3, 0.7])
         assert h.ace_detect(cube, d).values[0, 2] == 0.0
+
+    def test_covariance_that_cholesky_rejects_is_singular(self, monkeypatch):
+        # Indefinite statistics that pass the condition check must not score.
+        monkeypatch.setattr(predetect, "_regularized", lambda mat: np.diag([1.0, -1.0, 1.0]))
+        cube = make_cube(np.random.default_rng(0), bands=3)
+        with pytest.raises(predetect.SingularStatisticsError):
+            h.ace_detect(cube, np.ones(3))
 
     def test_whitened_parallel_pixel_scores_one(self):
         # mean-symmetric cube with two pixels at mu +- t*d: Cauchy-Schwarz
@@ -105,15 +126,7 @@ class TestAce:
             rng = np.random.default_rng(seed)
             cube = make_cube(rng, bands=8, height=10, width=10)
             d = rng.random(8) + 0.1
-            X = cube.pixels()
-            mu = X.mean(axis=0)
-            sigma = (X - mu).T @ (X - mu) / X.shape[0]
-            inv = np.linalg.inv(sigma)
-            expected = np.array([
-                (d @ inv @ (x - mu)) ** 2 / ((d @ inv @ d) * ((x - mu) @ inv @ (x - mu)))
-                if (x - mu) @ inv @ (x - mu) > 0 else 0.0
-                for x in X
-            ])
+            expected = ace_oracle(cube, d)
             assert np.allclose(h.ace_detect(cube, d).values.ravel(), expected, atol=1e-10)
 
 
@@ -152,6 +165,7 @@ class TestRidgeLoading:
         else:
             assert np.all(np.isfinite(scores))
             assert scores.min() >= 0.0 and scores.max() <= 1.0
+            assert np.allclose(scores.ravel(), ace_oracle(cube, d, added), rtol=0, atol=1e-10)
 
     def test_all_zero_cube_is_singular_for_cem(self):
         with pytest.raises(predetect.SingularStatisticsError):
