@@ -259,7 +259,13 @@ def _strip_known_ext(path: str) -> str:
 
 def save_scoremap(smap: ScoreMap, path: str) -> None:
     base = _strip_known_ext(path)
-    smap.values.astype("<f4").tofile(base + ".f32")
+    with np.errstate(over="ignore"):
+        raster = smap.values.astype("<f4")
+    if not np.isfinite(raster).all():       # the map itself is finite
+        y, x = np.argwhere(~np.isfinite(raster))[0].tolist()
+        raise ValueError(f"{base}.f32: score {float(smap.values[y, x])!r} at x={x}, y={y} "
+                         "is outside the float32 range")
+    raster.tofile(base + ".f32")
     body = "".join([f"{x},{y},{score!r}\n"
                     for y, row in enumerate(smap.values.tolist())
                     for x, score in enumerate(row)])

@@ -37,11 +37,9 @@ class WindowSpec:
 
 
 def normalize_atoms(D: Dictionary) -> Dictionary:
-    """Divide each column by its Euclidean norm (idempotent)."""
-    norms = np.linalg.norm(D.columns, axis=0)
-    if D.n_atoms and np.any(norms == 0.0):
-        raise ValueError("cannot normalize a zero column")
-    return Dictionary(D.columns / norms)
+    """Divide each column by its Euclidean norm (idempotent); a ``Dictionary``
+    has no zero column to divide by."""
+    return Dictionary(D.columns / np.linalg.norm(D.columns, axis=0))
 
 
 def unit_pixels(cube: HsiCube) -> tuple[np.ndarray, np.ndarray]:

@@ -5,14 +5,19 @@ supported on at most ``max_nonzeros`` atoms.  Small dictionaries are solved
 exactly by sweeping every support; larger ones use greedy atom admission, as
 in the orthogonal matching pursuit of sparse-representation target detectors
 (Chen, Nasrabadi & Tran 2011).  Spectra coded against one dictionary admit
-atoms together, as one stack of rows, in the manner of Batch-OMP
-(Rubinstein, Zibulevsky & Elad 2008); a single spectrum is a stack of one
-row.  Spectra whose dictionaries are different column subsets of one pool
-matrix, such as pixels' [global | dual-window ring] dictionaries, share a
-stack too: a per-row mask keeps each row to its own columns.  Either way
-every fixed-support subproblem is solved exactly: by least squares when
-lambda is 0, else over all 2^size sign patterns of its stationarity system,
-size <= ``MAX_NONZEROS``.  Signs are unconstrained.
+atoms together, as one stack of rows with one correlation product per step,
+in the manner of Batch-OMP (Rubinstein, Zibulevsky & Elad 2008); a single
+spectrum is a stack of one row.  A per-row mask confines each row to its own
+columns of the matrix, such as a pixel's [global | dual-window ring] atoms
+in a shared pool.  Every fixed-support subproblem is solved exactly: by
+least squares when lambda is 0, else over all 2^size sign patterns of its
+stationarity system, size <= ``MAX_NONZEROS``.  Signs are unconstrained.
+
+Ties go to the lowest column on both paths: the sweep keeps the first
+support at equal objectives, and greedy admission takes the lowest column
+whose correlation is within ``_TIE_RTOL`` of the row's largest.  A
+dictionary can hold one spectrum twice (a learned atom and the pixel it came
+from); this rule, not rounding, picks the copy a code uses.
 
 A stack's codes are one block (``code_block``): (n, cap) atom indices, each
 row's ascending and then -1 padding, and (n, cap) coefficients, 0.0 at the
@@ -37,6 +42,7 @@ from .cube import Dictionary
 MAX_NONZEROS = 12      # largest support cap: every support's 2^cap sign patterns are solved
 _ENUM_LIMIT = 512      # max support count for the exact small-dictionary path
 _STACK_ELEMENTS = 1 << 16  # target size of a stacked coding block, in doubles
+_TIE_RTOL = 1e-12      # correlations this close to a row's largest tie with it
 
 
 @dataclass(frozen=True)
@@ -170,20 +176,18 @@ def _enumerate_supports(x, mat, atoms, params):
     return best_support, best_a
 
 
-def _greedy(X, mat, cap, params, mask=None):
+def _greedy(X, mat, cap, params, mask):
     """Greedy codes of the rows of X as a block, atoms in admission order.
 
     Forward admission in lockstep: each row adds the atom most correlated
-    with its residual, then re-solves its active-set subproblem exactly; a
-    row stops when no atom clears the soft threshold or the re-solve does
-    not lower its objective.  Every live row at step t tries a support of
-    t + 1 atoms, so the correlations are one GEMM and the re-solves one
-    stacked solve.
-    A (n, atoms) boolean ``mask`` confines each row to its own atoms: the
-    others' correlations are zero, so they never clear the threshold, and
-    each row's correlations are its own vector-matrix product, the BLAS
-    call a one-row stack of its own dictionary makes, and a row stops once
-    its own atoms are used up.
+    with its residual, the lowest column among ties, then re-solves its
+    active-set subproblem exactly; a row stops when no atom clears the soft
+    threshold or the re-solve does not lower its objective.  Every live row
+    at step t tries a support of t + 1 atoms, so the correlations are one
+    GEMM and the re-solves one stacked solve.  The (n, atoms) boolean
+    ``mask`` confines each row to its own atoms: the others' correlations
+    are zero, so they never clear the threshold, and a row stops once its
+    own atoms are used up.
     """
     n = X.shape[0]
     lam = params.lam
@@ -197,21 +201,18 @@ def _greedy(X, mat, cap, params, mask=None):
     support, coef, Ds = np.zeros((n, 0), dtype=np.intp), np.zeros((n, 0)), None
     for step in range(cap):
         R = Xl - (Ds @ coef[:, :, None])[:, :, 0] if step else Xl
-        if M is None:
-            mag = np.abs(R @ mat)
-        else:
-            mag = np.abs([r @ mat for r in R])
-            mag[~M] = 0.0
+        mag = np.abs(R @ mat)
+        mag[~M] = 0.0
         rows = np.arange(live.size)
         mag[rows[:, None], support] = 0.0
-        j = mag.argmax(axis=1)
+        top = mag.max(axis=1, keepdims=True)
+        j = (mag >= top * (1.0 - _TIE_RTOL)).argmax(axis=1)
         grow = mag[rows, j] > lam + 1e-15       # else the soft threshold zeroes it
         if not grow.all():
             if not grow.any():
                 break
-            live, Xl, xx, best, support, coef, j = (
-                v[grow] for v in (live, Xl, xx, best, support, coef, j))
-            M = None if M is None else M[grow]
+            live, Xl, M, xx, best, support, coef, j = (
+                v[grow] for v in (live, Xl, M, xx, best, support, coef, j))
             grow = grow[grow]
         trial = np.concatenate((support, j[:, None]), axis=1)
         Ds = _columns(mat, trial)
@@ -220,9 +221,8 @@ def _greedy(X, mat, cap, params, mask=None):
         if not accept.any():
             break
         if not accept.all():
-            live, Xl, xx, trial, a, obj, Ds = (
-                v[accept] for v in (live, Xl, xx, trial, a, obj, Ds))
-            M = None if M is None else M[accept]
+            live, Xl, M, xx, trial, a, obj, Ds = (
+                v[accept] for v in (live, Xl, M, xx, trial, a, obj, Ds))
         support, coef, best = trial, a, obj
         out[0][live, :step + 1], out[1][live, :step + 1] = support, coef
     return out
@@ -248,15 +248,15 @@ def code_block(X: np.ndarray, mat: np.ndarray, params: SolverParams,
     n, n_atoms = X.shape[0], mat.shape[1]
     cap = min(params.max_nonzeros, n_atoms)
     support, coef = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))
-    # A row's own dictionary is its mask row's atoms, or else all of mat.  One
-    # small enough is swept exactly, support by support: greedy selection
-    # can land in local optima on coherent dictionaries, and at this size
-    # exactness is cheap.  Every other row joins a stacked greedy pass.
-    counts = np.full(n, n_atoms) if mask is None else mask.sum(axis=1)
-    enumerated = counts <= _enumerated_size(params.max_nonzeros, n_atoms)
+    if mask is None:
+        mask = np.broadcast_to(True, (n, n_atoms))
+    # A row's own dictionary is its mask row's atoms.  One small enough is
+    # swept exactly, support by support: greedy selection can land in local
+    # optima on coherent dictionaries, and at this size exactness is cheap.
+    # Every other row joins a stacked greedy pass.
+    enumerated = mask.sum(axis=1) <= _enumerated_size(params.max_nonzeros, n_atoms)
     for i in np.flatnonzero(enumerated):
-        atoms = range(n_atoms) if mask is None else np.flatnonzero(mask[i]).tolist()
-        best, a = _enumerate_supports(X[i], mat, atoms, params)
+        best, a = _enumerate_supports(X[i], mat, np.flatnonzero(mask[i]).tolist(), params)
         support[i, :len(best)], coef[i, :len(best)] = best, a
     # Stack heights keep the correlation block and the largest sign-pattern
     # residual block near _STACK_ELEMENTS doubles each.
@@ -264,7 +264,7 @@ def code_block(X: np.ndarray, mat: np.ndarray, params: SolverParams,
     greedy = np.flatnonzero(~enumerated)
     for start in range(0, greedy.size, rows):
         i = greedy[start:start + rows]
-        support[i], coef[i] = _greedy(X[i], mat, cap, params, None if mask is None else mask[i])
+        support[i], coef[i] = _greedy(X[i], mat, cap, params, mask[i])
     # Exact zeros are padding too; each row's atoms ascend.
     pad = coef == 0.0
     order = np.argsort(np.where(pad, n_atoms, support), axis=1)
@@ -281,20 +281,15 @@ def sparse_code(x: np.ndarray, D: Dictionary, params: SolverParams) -> SparseCod
 def sparse_codes(X: np.ndarray, D: Dictionary, params: SolverParams,
                  mask: np.ndarray | None = None) -> list[SparseCode]:
     """Codes of the rows of ``X`` (n_spectra, bands) against one dictionary,
-    computed together.  Each is the code ``sparse_code`` gives its row, up
-    to how a tie between atom correlations within rounding is broken: a
-    stack's correlations are one matrix product, a single row's a
-    matrix-vector product.  ``X`` is copied to one C-contiguous float64
-    stack first, so the codes depend on its values, not its layout.
+    computed together; each is the code ``sparse_code`` gives its row.
+    ``X`` is copied to one C-contiguous float64 stack first, so the codes
+    depend on its values, not its layout.
 
     A boolean ``mask`` (n_spectra, atoms) makes ``D`` a pool from which
     each row draws its own dictionary: row i is coded against
     ``D.columns[:, mask[i]]``, in column order, and its code's indices
-    count ``D``'s columns.  Rows still share one greedy pass, but each
-    row's correlations are its own vector-matrix product, as a single
-    row's are.  A pool column's correlation can still round differently
-    from the same atom's in the row's own smaller dictionary, which
-    matters only at a tie within rounding."""
+    count ``D``'s columns.  Rows still share one greedy pass.  Ties go to
+    the lowest column, in the pool as in the row's own dictionary."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("spectra must be a 2-D (n_spectra, bands) array")

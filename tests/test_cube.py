@@ -1,6 +1,7 @@
 """Data model and file I/O round-trip tests."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,16 @@ class TestScoreMapIO:
             f"{x},0,{x}.0\n" for x in range(10)))
         assert h.load_scoremap(str(tmp_path / "s")).values.tolist() == [
             [float(x) for x in range(10)] + [2.5]]
+
+    @pytest.mark.parametrize("score", [3.5e38, -1e300])
+    def test_score_beyond_float32_rejected_before_writing(self, tmp_path, score):
+        values = np.ones((2, 3))
+        values[1, 2] = score
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"s\.f32: score {re.escape(repr(score))} at x=2, y=1 "):
+                h.save_scoremap(h.ScoreMap(values), str(tmp_path / "s"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_raster_and_csv_written(self, tmp_path):
         h.save_scoremap(h.ScoreMap(np.ones((2, 2))), str(tmp_path / "s"))

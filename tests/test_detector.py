@@ -1,6 +1,10 @@
 """Score normalization, fusion arithmetic, and residual-map verification."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,3 +480,33 @@ class TestPipeline:
         t = smap.values[mask.labels == 1]
         b = smap.values[mask.labels == 0]
         assert t.mean() > b.mean()
+
+
+# Prints one digest per map of a five-method-style detect on a 100-band
+# scene.  CEM and ACE are left out: at 100 bands and more their Gram,
+# factorizations and whitening round differently at one and two BLAS
+# threads (ROADMAP item 2).
+_THREADED_DETECT = """
+import hashlib
+import hsidet as h
+cube, _, signature = h.generate(h.SceneSpec(width=24, height=24, bands=100, n_endmembers=4,
+                                             n_targets=8, noise_sigma=0.03, seed=7))
+maps = h.detect(cube, signature, h.preset_config("sparse-targets"), ["std", "shr", "wshr"])
+for name, smap in maps.items():
+    print(name, hashlib.sha256(smap.values.tobytes()).hexdigest())
+"""
+
+
+def test_sparse_maps_identical_at_one_and_two_blas_threads_at_100_bands():
+    # The thread count must be set before NumPy loads, so each run is its
+    # own interpreter.
+    src = str(Path(h.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _THREADED_DETECT], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        digests.append(run.stdout)
+    assert digests[0].split()[::2] == ["std", "shr", "wshr"]
+    assert digests[0] == digests[1]

@@ -257,6 +257,8 @@ class TestStackedCodes:
         params = h.SolverParams(lam=0.05, max_nonzeros=5)
         stacked = h.sparse_codes(X, h.Dictionary(D), params)
         assert_same_codes(stacked, codes_per_row(X, D, params))
+        everything = np.ones((200, 120), dtype=bool)
+        assert_same_codes(h.sparse_codes(X, h.Dictionary(D), params, everything), stacked)
         sizes = [c.indices.size for c in stacked]
         assert sizes[0] == sizes[5] == 0
         assert {1, 2, 3, 4} <= set(sizes)
@@ -334,6 +336,22 @@ class TestStackedCodes:
         counts = mask.sum(axis=1)
         assert counts.min() < 4 and counts.max() > 30
         assert all(set(c.indices) <= set(np.flatnonzero(m)) for c, m in zip(got, mask))
+
+    def test_tie_within_rounding_goes_to_the_lowest_column(self):
+        # Column 37 is column 12 scaled by 1 + 1e-13, so its correlation is
+        # the larger by rounding alone.  Sixty atoms are too many to
+        # enumerate: a stack, a single row and a masked pool row all admit
+        # column 12 by the greedy tie rule.
+        rng = np.random.default_rng(48)
+        D = random_dictionary(rng, 16, 60)
+        D[:, 37] = D[:, 12] * (1 + 1e-13)
+        X = np.stack([3.0 * D[:, 12], -2.0 * D[:, 12] + 0.5 * D[:, 9]])
+        params = h.SolverParams(lam=0.1, max_nonzeros=4)
+        mask = np.arange(60) < 50
+        for codes in (h.sparse_codes(X, h.Dictionary(D), params),
+                      codes_per_row(X, D, params),
+                      h.sparse_codes(X, h.Dictionary(D), params, np.stack([mask, mask]))):
+            assert [c.indices.tolist() for c in codes] == [[12], [9, 12]]
 
     def test_row_with_fewer_atoms_than_the_cap_stops_when_they_are_used_up(self):
         # 10 own atoms at a cap of 12 are too many to enumerate, so the row
