@@ -27,7 +27,7 @@ from .detector import (
     wshr_detect,
 )
 from .dictlearn import OdlParams, init_dictionary, odl_learn
-from .hierdict import WindowSpec, build_hierarchical, local_background, normalize_atoms
+from .hierdict import WindowSpec, local_background, normalize_atoms
 from .metrics import RocCurve, auc, compare, roc, write_comparison
 from .predetect import ace_detect, cem_detect, select_training_sets
 from .sparse import SolverParams, SparseCode, residual_norm, sparse_code, sparse_codes

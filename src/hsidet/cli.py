@@ -135,7 +135,7 @@ def cmd_detect(args) -> int:
     _write_manifest(args.out, {
         "command": "detect", "method": args.method, "config": config.to_dict(),
         "inputs": {"cube": args.cube, "signature": args.signature},
-        "outputs": {"scores": base + ".f32", "scores_csv": base + ".csv"},
+        "outputs": {"scores": base + ".csv"},
     })
     log.info("wrote %s score map to %s", args.method, base)
     return 0
@@ -151,8 +151,8 @@ def cmd_eval(args) -> int:
         else:
             name = os.path.splitext(os.path.basename(entry))[0]
             path = entry
-        if not name or "," in name or "/" in name:
-            raise ValueError(f"score map name {name!r} is empty or contains ',' or '/'")
+        if not name or "," in name or "/" in name or not name.isascii():
+            raise ValueError(f"score map name {name!r} is empty, not ASCII or contains ',' or '/'")
         if name in paths:
             raise ValueError(f"score map name {name!r} is given more than once")
         paths[name] = path

@@ -10,6 +10,7 @@ the synthetic scenes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
@@ -40,6 +41,9 @@ class DetectorConfig:
     orientation = "flip_both"
 
     def __post_init__(self):
+        for name in (*_COUNTS, "k", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         for name in _COUNTS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

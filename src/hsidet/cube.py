@@ -248,28 +248,20 @@ def save_cube(cube: HsiCube, header_path: str, interleave: str = "bsq") -> None:
 
 
 # ---------------------------------------------------------------------------
-# Score map I/O:  <base>.f32 raster (row-major float32) + <base>.csv (x,y,score)
+# Score map I/O:  <base>.csv (x,y,score)
 # ---------------------------------------------------------------------------
 
 
-def _strip_known_ext(path: str) -> str:
+def _csv_path(path: str) -> str:
     base, ext = os.path.splitext(path)
-    return base if ext in (".f32", ".csv") else path
+    return (base if ext == ".csv" else path) + ".csv"
 
 
 def save_scoremap(smap: ScoreMap, path: str) -> None:
-    base = _strip_known_ext(path)
-    with np.errstate(over="ignore"):
-        raster = smap.values.astype("<f4")
-    if not np.isfinite(raster).all():       # the map itself is finite
-        y, x = np.argwhere(~np.isfinite(raster))[0].tolist()
-        raise ValueError(f"{base}.f32: score {float(smap.values[y, x])!r} at x={x}, y={y} "
-                         "is outside the float32 range")
-    raster.tofile(base + ".f32")
     body = "".join([f"{x},{y},{score!r}\n"
                     for y, row in enumerate(smap.values.tolist())
                     for x, score in enumerate(row)])
-    with open(base + ".csv", "w", encoding="ascii") as fh:
+    with open(_csv_path(path), "w", encoding="ascii") as fh:
         fh.write("x,y,score\n" + body)
 
 
@@ -321,9 +313,9 @@ def _check_rows(csv_path: str, body: list[str], rows: np.ndarray) -> None:
 
 def load_scoremap(path: str) -> ScoreMap:
     """Reload a saved score map from its CSV, which gives both the
-    dimensions and the full-precision values; the float32 ``.f32`` raster
-    is not read.  The rows must cover every (x, y) cell exactly once."""
-    csv_path = _strip_known_ext(path) + ".csv"
+    dimensions and the full-precision values.  The rows must cover every
+    (x, y) cell exactly once."""
+    csv_path = _csv_path(path)
     lines = _ascii_lines(csv_path)
     header = lines[0].strip() if lines else ""
     if header != "x,y,score":

@@ -1,12 +1,12 @@
-"""Per-pixel hierarchical background dictionaries.
+"""The local part of the per-pixel hierarchical background dictionaries.
 
-The local part comes from a dual concentric sliding window: every pixel
-inside the outer window but outside the inner window contributes its
-spectrum as one atom.  Windows are clamped at image borders (no padding),
-zero-norm pixels are dropped, and every atom is normalized to unit length
-before concatenation with the globally learned background dictionary.
-The image is normalized once (``unit_pixels``) and every ring, of one
-pixel or of a whole image row, follows one rule (``window_rings``).
+Every pixel inside the outer window of a dual concentric sliding window but
+outside its inner window contributes its spectrum as one atom.  Windows are
+clamped at image borders (no padding), zero-norm pixels are dropped, and
+every atom is normalized to unit length.  The image is normalized once
+(``unit_pixels``) and every ring, of one pixel or of a whole image row,
+follows one rule (``window_rings``).  ``detector._ring_codes`` builds the
+hierarchical dictionary [global atoms | ring], one pool per image row.
 """
 
 from __future__ import annotations
@@ -90,26 +90,3 @@ def local_background(cube: HsiCube, x: int, y: int, w: WindowSpec) -> Dictionary
     band, rings = window_rings(nonzero, y, [x], w)
     return Dictionary(unit[:, band[rings[0]]])
 
-
-def build_hierarchical(D_b_global: Dictionary, D_b_local: Dictionary) -> Dictionary:
-    """Concatenate global and local background atoms, global columns first.
-
-    If one side is empty the other is returned unchanged; both empty is an
-    error.  Column norms of both inputs are re-verified.
-    """
-    if D_b_global.n_atoms == 0 and D_b_local.n_atoms == 0:
-        raise ValueError("both background dictionaries are empty")
-    if D_b_global.n_atoms and D_b_local.n_atoms and D_b_global.bands != D_b_local.bands:
-        raise ValueError(
-            f"band mismatch: global {D_b_global.bands} vs local {D_b_local.bands}"
-        )
-    for name, part in (("global", D_b_global), ("local", D_b_local)):
-        if part.n_atoms:
-            norms = np.linalg.norm(part.columns, axis=0)
-            if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE:
-                raise ValueError(f"{name} background dictionary is not unit-norm")
-    if D_b_local.n_atoms == 0:
-        return D_b_global
-    if D_b_global.n_atoms == 0:
-        return D_b_local
-    return Dictionary(np.hstack([D_b_global.columns, D_b_local.columns]))

@@ -8,6 +8,7 @@ Mann-Whitney rank statistic (ties counted as one half).
 
 from __future__ import annotations
 
+import html
 import os
 from dataclasses import dataclass
 
@@ -141,7 +142,7 @@ def _write_svg(rows, path: str) -> None:
         )
         parts.append(
             f'<text x="{_SVG_MARGIN + 8}" y="{_SVG_MARGIN + 16 + 14 * i}" fill="{color}" '
-            f'font-size="12">{name} ({value:.4f})</text>'
+            f'font-size="12">{html.escape(name, quote=False)} ({value:.4f})</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="ascii") as fh:

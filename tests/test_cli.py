@@ -83,9 +83,9 @@ class TestDetectCommand:
         rc = main(["detect", "--method", "cem", "--cube", paths["cube"],
                    "--signature", paths["signature"], "--out", out])
         assert rc == 0
-        assert (tmp_path / "det" / "cem.f32").exists()
-        assert (tmp_path / "det" / "cem.csv").exists()
+        assert sorted(os.listdir(tmp_path / "det")) == ["cem.csv", "manifest.json"]
         manifest = json.loads((tmp_path / "det" / "manifest.json").read_text())
+        assert manifest["outputs"] == {"scores": os.path.join(out, "cem.csv")}
         assert manifest["method"] == "cem"
         assert manifest["config"]["gamma"] == 0.3
 
@@ -132,7 +132,7 @@ class TestEvalCommand:
         assert (tmp_path / "eval" / "roc_cem.csv").exists()
 
 
-    @pytest.mark.parametrize("name", ["a,b", "a/b", ""])
+    @pytest.mark.parametrize("name", ["a,b", "a/b", "", "\u00e9"])
     def test_empty_name_or_name_with_separator_is_runtime_error(self, tmp_path, capsys, name):
         paths = write_tiny_scene(str(tmp_path / "scene"))
         write_cem_map(paths, str(tmp_path / "cem"))
@@ -252,7 +252,7 @@ class TestCompareCommand:
                 "--mask", paths["mask"], "--methods", "cem,ace"]
         assert main(args + ["--out", a]) == 0
         assert main(args + ["--out", b]) == 0
-        for name in ("auc.csv", "roc_cem.csv", "roc_ace.csv", "cem.f32", "ace.f32"):
+        for name in ("auc.csv", "roc_cem.csv", "roc_ace.csv", "cem.csv", "ace.csv"):
             assert sha(os.path.join(a, name)) == sha(os.path.join(b, name))
 
     def test_unknown_method_is_runtime_error(self, tmp_path):

@@ -23,6 +23,11 @@ import hsidet as h
     ("gamma", 1.5),
     ("bg_fraction", 0.0),
     ("bg_fraction", 1.0),
+    ("n_bg_atoms", 64.5),
+    ("n_target_train", 10.0),
+    ("odl_epochs", 2.0),
+    ("k", 2.5),
+    ("seed", 1.5),
 ])
 def test_bad_value_is_rejected_naming_the_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):

@@ -167,7 +167,8 @@ class TestResidualMaps:
         window = h.WindowSpec(3, 1)
 
         def bg_provider(x, y):
-            return h.build_hierarchical(D_g, h.local_background(cube, x, y, window))
+            local = h.local_background(cube, x, y, window)
+            return h.Dictionary(np.hstack([D_g.columns, local.columns]))
 
         params = h.SolverParams(lam=0.1, max_nonzeros=2)
         r_t, r_b = h.residual_maps(cube, D_t, D_g, window, params)
@@ -203,7 +204,8 @@ def per_pixel_background(cube, D_g, window, params):
     for y in range(cube.height):
         for x in range(cube.width):
             spec = cube.data[:, y, x]
-            D_b = h.build_hierarchical(D_g, h.local_background(cube, x, y, window))
+            local = h.local_background(cube, x, y, window)
+            D_b = h.Dictionary(np.hstack([D_g.columns, local.columns]))
             out[y, x] = h.residual_norm(spec, D_b, h.sparse_code(spec, D_b, params))
     return out
 
@@ -356,15 +358,14 @@ class TestWindowedCoder:
 
     def test_no_per_pixel_dictionary_is_built(self, monkeypatch):
         calls = []
-        for name in ("local_background", "build_hierarchical"):
-            real = getattr(hierdict, name)
+        real = hierdict.local_background
 
-            def counting(*args, name=name, real=real):
-                calls.append(name)
-                return real(*args)
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
 
-            monkeypatch.setattr(hierdict, name, counting)
-            monkeypatch.setattr(detector, name, counting, raising=False)
+        monkeypatch.setattr(hierdict, "local_background", counting)
+        monkeypatch.setattr(detector, "local_background", counting, raising=False)
         cube, mask, signature = tiny_scene(seed=5)
         fit = h.Fit(cube, signature, tiny_config())
         fit.residuals

@@ -105,48 +105,3 @@ class TestLocalBackground:
         cube = cube_of(5, 5)
         with pytest.raises(IndexError):
             h.local_background(cube, 5, 0, h.WindowSpec(3, 1))
-
-
-class TestBuildHierarchical:
-    def test_global_columns_come_first(self):
-        rng = np.random.default_rng(7)
-        g = h.normalize_atoms(h.Dictionary(rng.normal(size=(4, 3))))
-        l = h.normalize_atoms(h.Dictionary(rng.normal(size=(4, 2))))
-        joined = h.build_hierarchical(g, l)
-        assert joined.n_atoms == 5
-        assert np.array_equal(joined.columns[:, :3], g.columns)
-        assert np.array_equal(joined.columns[:, 3:], l.columns)
-
-    def test_slicing_recovers_parts(self):
-        rng = np.random.default_rng(8)
-        g = h.normalize_atoms(h.Dictionary(rng.normal(size=(5, 4))))
-        l = h.normalize_atoms(h.Dictionary(rng.normal(size=(5, 6))))
-        joined = h.build_hierarchical(g, l)
-        assert np.array_equal(joined.columns[:, : g.n_atoms], g.columns)
-        assert np.array_equal(joined.columns[:, g.n_atoms :], l.columns)
-
-    def test_empty_local_returns_global(self):
-        rng = np.random.default_rng(9)
-        g = h.normalize_atoms(h.Dictionary(rng.normal(size=(4, 3))))
-        empty = h.Dictionary(np.empty((4, 0)))
-        assert h.build_hierarchical(g, empty) is g
-        assert h.build_hierarchical(empty, g) is g
-
-    def test_both_empty_is_error(self):
-        empty = h.Dictionary(np.empty((4, 0)))
-        with pytest.raises(ValueError):
-            h.build_hierarchical(empty, empty)
-
-    def test_band_mismatch_rejected(self):
-        rng = np.random.default_rng(10)
-        g = h.normalize_atoms(h.Dictionary(rng.normal(size=(4, 2))))
-        l = h.normalize_atoms(h.Dictionary(rng.normal(size=(5, 2))))
-        with pytest.raises(ValueError, match="band mismatch"):
-            h.build_hierarchical(g, l)
-
-    def test_non_unit_norm_rejected(self):
-        rng = np.random.default_rng(11)
-        g = h.Dictionary(rng.normal(size=(4, 2)) * 2)
-        l = h.normalize_atoms(h.Dictionary(rng.normal(size=(4, 2))))
-        with pytest.raises(ValueError, match="unit-norm"):
-            h.build_hierarchical(g, l)

@@ -1,5 +1,7 @@
 """ROC / AUC tests against rank-statistic and all-thresholds oracles."""
 
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,15 @@ class TestCompare:
         assert (tmp_path / "auc.csv").read_text().splitlines()[0] == "method,auc"
         assert (tmp_path / "roc_m.csv").exists()
         assert (tmp_path / "roc.svg").read_text().startswith("<svg")
+
+    def test_svg_is_well_formed_for_any_name(self, tmp_path):
+        labels = np.array([[1, 0], [0, 1]])
+        smap = h.ScoreMap(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        rows = h.compare([("a&b<c>", smap)], h.GroundTruthMask(labels))
+        h.write_comparison(rows, str(tmp_path))
+        root = ElementTree.parse(tmp_path / "roc.svg").getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == ["a&b<c> (1.0000)"]
 
     def test_roc_csv_round_trips_curve(self, tmp_path):
         rng = np.random.default_rng(4)
