@@ -23,8 +23,8 @@ from . import cube as hio
 from .config import DetectorConfig, preset_config
 from .detector import METHODS, detect
 from .hierdict import WindowSpec
+from .metrics import check_method_name, write_comparison
 from .metrics import compare as compare_maps
-from .metrics import write_comparison
 from .synth import PRESETS, generate
 
 log = logging.getLogger("hsidet")
@@ -38,9 +38,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--owr", type=int, help="outer window side (odd)")
     p.add_argument("--iwr", type=int, help="inner window side (odd)")
     p.add_argument("--target-atoms", dest="n_target_atoms", type=int,
-                   help="global target dictionary atoms")
+                   help="global target dictionary atoms, at most one per training sample")
     p.add_argument("--bg-atoms", dest="n_bg_atoms", type=int,
-                   help="global background dictionary atoms")
+                   help="global background dictionary atoms, at most one per training sample")
     p.add_argument("--train-targets", dest="n_target_train", type=int,
                    help="target training sample count")
     p.add_argument("--bg-fraction", type=float, help="background training fraction")
@@ -142,8 +142,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # Each name becomes an auc.csv field and a roc_<name>.csv file name, so
-    # names are checked before any map is read or any file is written.
+    # Names are checked before any map is read or any file is written.
     paths = {}
     for entry in args.scores:
         if "=" in entry:
@@ -151,8 +150,7 @@ def cmd_eval(args) -> int:
         else:
             name = os.path.splitext(os.path.basename(entry))[0]
             path = entry
-        if not name or "," in name or "/" in name or not name.isascii():
-            raise ValueError(f"score map name {name!r} is empty, not ASCII or contains ',' or '/'")
+        check_method_name(name)
         if name in paths:
             raise ValueError(f"score map name {name!r} is given more than once")
         paths[name] = path

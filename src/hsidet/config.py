@@ -1,10 +1,10 @@
 """Pipeline configuration.
 
 Defaults follow the standard full-scale operating point: lam = 0.1, k = 5,
-gamma = 0.3, 19x19 / 9x9 windows, 10 target atoms, 1000 background atoms,
-10 target training samples and a 0.8 background training fraction.  The
-desk-scale presets shrink the windows and background dictionary to match
-the synthetic scenes.
+gamma = 0.3, 19x19 / 9x9 windows, at most 10 target and 1000 background
+atoms, 10 target training samples and a 0.8 background training fraction.
+The desk-scale presets shrink the windows and background dictionary to
+match the synthetic scenes.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ class DetectorConfig:
     k: int = 5                    # sparsity cap, at most MAX_NONZEROS
     gamma: float = 0.3            # background-score weight in the fusion
     window: WindowSpec = field(default_factory=WindowSpec)
-    n_target_atoms: int = 10
-    n_bg_atoms: int = 1000
+    n_target_atoms: int = 10      # at most: one atom per nonzero training sample
+    n_bg_atoms: int = 1000        # at most: one atom per nonzero training sample
     n_target_train: int = 10
     bg_fraction: float = 0.8
     seed: int = 0

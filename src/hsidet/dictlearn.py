@@ -21,12 +21,10 @@ import numpy as np
 from .cube import Dictionary
 from .sparse import MAX_NONZEROS, SolverParams, _row_dots, block_dense, block_residuals, code_block
 
-_JITTER_SCALE = 0.01
-
 
 @dataclass(frozen=True)
 class OdlParams:
-    n_atoms: int
+    n_atoms: int          # at most; the count is capped at the nonzero samples
     lam: float = 0.1
     epochs: int = 5
     batch_size: int = 32
@@ -57,8 +55,8 @@ def _as_sample_matrix(samples) -> np.ndarray:
 
 
 def init_dictionary(samples, n_atoms: int, seed: int) -> Dictionary:
-    """Seed atoms: a without-replacement draw of training samples, cycling with
-    small Gaussian jitter when more atoms than samples are requested."""
+    """Seed atoms: a without-replacement draw of at most ``n_atoms`` nonzero
+    training samples, one atom per sample."""
     return Dictionary(_initial_atoms(_as_sample_matrix(samples), n_atoms, seed))
 
 
@@ -66,15 +64,9 @@ def _initial_atoms(X: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:
     """``init_dictionary``'s atoms as a fresh C-contiguous (bands, n_atoms)
     array, drawn from a checked ``_as_sample_matrix`` stack."""
     nonzero = X[np.linalg.norm(X, axis=1) > 0.0]
-    n = nonzero.shape[0]
     rng = np.random.default_rng(seed)
-    atoms = nonzero[rng.permutation(n)[np.arange(n_atoms) % n]]
-    # Atom i >= n is its sample plus N(0, (0.01 * ||sample||)^2) noise per
-    # band, drawn in atom order.  Norms are square roots of row dot
-    # products, as np.linalg.norm forms them.
-    cycled = atoms[n:]
-    noise = rng.standard_normal(cycled.shape)
-    cycled += _JITTER_SCALE * np.sqrt(_row_dots(cycled))[:, None] * noise
+    atoms = nonzero[rng.permutation(len(nonzero))[:n_atoms]]
+    # Norms are square roots of row dot products, as np.linalg.norm forms them.
     norms = np.sqrt(_row_dots(atoms))
     if np.any(norms == 0.0):
         raise ValueError("zero-norm atom during initialization")
@@ -116,8 +108,8 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
     """
     X = _as_sample_matrix(samples)
     n, m = X.shape
-    k = params.n_atoms
-    D = _initial_atoms(X, k, params.seed)
+    D = _initial_atoms(X, params.n_atoms, params.seed)
+    k = D.shape[1]
     rng = np.random.default_rng(params.seed + 1)
     solver = SolverParams(lam=params.lam, max_nonzeros=min(params.sparsity, k))
 
@@ -153,12 +145,12 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
     dead = np.flatnonzero(~used)
     if dead.size:
         # Replace dead atoms with the worst-reconstructed (largest-residual)
-        # training samples, normalized, cycling through them in that order; a
-        # zero sample gives way to the worst-reconstructed nonzero one.
+        # training samples, normalized, in that order; a zero sample gives
+        # way to the worst-reconstructed nonzero one.
         residuals = block_residuals(X, D, *code_block(X, D, solver))
         worst = np.argsort(-residuals)
         norms = np.sqrt(_row_dots(X))
-        picks = worst[np.arange(dead.size) % n]
+        picks = worst[:dead.size]
         picks[norms[picks] == 0.0] = worst[np.argmax(norms[worst] > 0.0)]
         D[:, dead] = (X[picks] / norms[picks, None]).T
 

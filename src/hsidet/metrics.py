@@ -95,12 +95,20 @@ def compare(
     return rows
 
 
+def check_method_name(name: str) -> None:
+    """Reject a name unfit for an ``auc.csv`` field or a file name."""
+    if not name or "," in name or "/" in name or not name.isascii():
+        raise ValueError(f"score map name {name!r} is empty, not ASCII or contains ',' or '/'")
+
+
 def write_comparison(
     rows: list[tuple[str, float, RocCurve]],
     out_dir: str,
 ) -> None:
     """Emit ``auc.csv``, one ``roc_<name>.csv`` per method, and a ``roc.svg``
-    overlay plot."""
+    overlay plot.  Every name is checked before ``out_dir`` is created."""
+    for name, _, _ in rows:
+        check_method_name(name)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "auc.csv"), "w", encoding="ascii") as fh:
         fh.write("method,auc\n")

@@ -228,14 +228,15 @@ def _greedy(X, mat, cap, params, mask):
     return out
 
 
-def _enumerated_size(max_nonzeros, n_atoms):
-    """Largest dictionary size, up to ``n_atoms``, whose supports of at most
-    ``max_nonzeros`` atoms number at most ``_ENUM_LIMIT``."""
+@lru_cache(maxsize=None)
+def _enumerated_size(max_nonzeros):
+    """Largest dictionary size whose supports of at most ``max_nonzeros``
+    atoms number at most ``_ENUM_LIMIT``."""
     def supports(size):
         return sum(comb(size, s) for s in range(1, min(max_nonzeros, size) + 1))
 
     size = 0
-    while size < n_atoms and supports(size + 1) <= _ENUM_LIMIT:
+    while supports(size + 1) <= _ENUM_LIMIT:
         size += 1
     return size
 
@@ -254,7 +255,7 @@ def code_block(X: np.ndarray, mat: np.ndarray, params: SolverParams,
     # swept exactly, support by support: greedy selection can land in local
     # optima on coherent dictionaries, and at this size exactness is cheap.
     # Every other row joins a stacked greedy pass.
-    enumerated = mask.sum(axis=1) <= _enumerated_size(params.max_nonzeros, n_atoms)
+    enumerated = mask.sum(axis=1) <= _enumerated_size(params.max_nonzeros)
     for i in np.flatnonzero(enumerated):
         best, a = _enumerate_supports(X[i], mat, np.flatnonzero(mask[i]).tolist(), params)
         support[i, :len(best)], coef[i, :len(best)] = best, a

@@ -27,8 +27,8 @@ def dense_outer_odl(samples, params):
     coding call.  Returns (dictionary, per-epoch objectives, dead atoms)."""
     X = np.asarray(samples, dtype=np.float64)
     n, m = X.shape
-    k = params.n_atoms
-    D = h.init_dictionary(X, k, params.seed).columns.copy()
+    D = h.init_dictionary(X, params.n_atoms, params.seed).columns.copy()
+    k = D.shape[1]
     rng = np.random.default_rng(params.seed + 1)
     solver = h.SolverParams(lam=params.lam, max_nonzeros=min(params.sparsity, k))
     A, B = np.zeros((k, k)), np.zeros((m, k))
@@ -65,7 +65,7 @@ def dense_outer_odl(samples, params):
         ])
         worst = np.argsort(-residuals)
         for pos, j in enumerate(dead):
-            repl = X[worst[pos % n]]
+            repl = X[worst[pos]]
             D[:, j] = repl / np.linalg.norm(repl)
     D /= np.linalg.norm(D, axis=0)
     return h.Dictionary(D), trace, dead.size
@@ -73,19 +73,23 @@ def dense_outer_odl(samples, params):
 
 class TestOdlLearn:
     @pytest.mark.parametrize("n_samples,bands,n_atoms,lam", [
-        (12, 10, 30, 0.1),   # more atoms than samples: dead atoms are replaced
+        (12, 10, 30, 0.1),   # more atoms than samples: one atom per sample
         (60, 20, 12, 0.05),  # greedy coding path, codes of several atoms
         (30, 8, 6, 0.0),     # exact enumeration path, plain least squares
     ])
     def test_matches_dense_outer_reference_bit_exact(self, n_samples, bands, n_atoms, lam):
         rng = np.random.default_rng(n_atoms)
         X = rng.normal(size=(n_samples, bands))  # codes with several atoms
+        if n_atoms > n_samples:
+            # Duplicate atoms tie, the lower column wins and the other dies.
+            X[1] = X[0]
         params = h.OdlParams(n_atoms=n_atoms, lam=lam, epochs=3, batch_size=8, seed=4)
         trace = []
         D = h.odl_learn(X, params, objective_trace=trace)
         want, want_trace, dead = dense_outer_odl(X, params)
         assert np.array_equal(D.columns, want.columns)
         assert trace == want_trace
+        assert D.n_atoms == min(n_atoms, n_samples)
         if n_atoms > n_samples:
             assert dead > 0
 
@@ -165,12 +169,16 @@ class TestOdlLearn:
         )
         assert worst < 1e-3
 
-    def test_more_atoms_than_samples_uses_jitter(self):
+    def test_one_atom_per_sample(self):
+        # More atoms than samples: each sample is one atom, and codes as it.
         rng = np.random.default_rng(6)
         X = rng.random((4, 6)) + 0.1
         D = h.odl_learn(X, h.OdlParams(n_atoms=9, seed=0))
-        assert D.n_atoms == 9
-        assert np.max(np.abs(np.linalg.norm(D.columns, axis=0) - 1.0)) < 1e-9
+        assert D.n_atoms == 4
+        unit = X / np.linalg.norm(X, axis=1, keepdims=True)
+        match = np.abs(unit[:, :, None] - D.columns[None]).max(axis=1) < 1e-12
+        assert np.array_equal(match.sum(axis=0), [1, 1, 1, 1])
+        assert np.array_equal(match.sum(axis=1), [1, 1, 1, 1])
 
     def test_zero_only_training_set_rejected(self):
         with pytest.raises(ValueError):
@@ -184,13 +192,15 @@ class TestOdlLearn:
             h.odl_learn(X, h.OdlParams(n_atoms=2))
 
     def test_dead_atoms_skip_zero_samples(self):
-        # Every residual is zero, so the worst-reconstructed sample is a zero
-        # one; the dead atoms 1 and 2 take the nonzero sample instead.
+        # Both atoms are one spectrum, so both nonzero samples code with atom
+        # 0 and atom 1 dies.  Every residual is zero, so the worst-
+        # reconstructed sample is the zero one; atom 1 takes a nonzero
+        # sample instead.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            D = h.odl_learn([[0, 0, 0], [1, 0, 0], [0, 0, 0]],
-                            h.OdlParams(n_atoms=3, lam=0.0, epochs=1))
-        assert np.array_equal(D.columns, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+            D = h.odl_learn([[0, 0, 0], [1, 0, 0], [1, 0, 0]],
+                            h.OdlParams(n_atoms=2, lam=0.0, epochs=1))
+        assert np.array_equal(D.columns, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("sparsity", [-1, 0, 13])
     def test_sparsity_outside_one_to_twelve_rejected(self, sparsity):
@@ -221,13 +231,15 @@ class TestStackedOdl:
         monkeypatch.setattr(dictlearn, "code_block", counting)
         rng = np.random.default_rng(9)
         X = rng.normal(size=(20, 10))
+        X[1] = X[0]  # its two atoms tie, so one of them dies
         h.odl_learn(X, h.OdlParams(n_atoms=40, epochs=3, batch_size=8, seed=1))
         # three epochs of batches of 8, 8 and 4 samples, then one call that
         # codes every sample to rank the replacements of dead atoms
         assert calls == [8, 8, 4] * 3 + [20]
 
     def test_sample_layout_does_not_change_the_atoms(self, monkeypatch):
-        # More atoms than samples, so the dead-atom pass codes every sample.
+        # A repeated sample leaves a dead atom, so the dead-atom pass codes
+        # every sample.
         calls = []
         code_block = dictlearn.code_block
 
@@ -237,6 +249,7 @@ class TestStackedOdl:
 
         monkeypatch.setattr(dictlearn, "code_block", counting)
         X = np.random.default_rng(9).normal(size=(20, 10))
+        X[1] = X[0]
         params = h.OdlParams(n_atoms=40, epochs=3, batch_size=8, seed=1)
         learned = [h.odl_learn(rows, params) for rows in (X, np.asfortranarray(X))]
         assert calls[9] == calls[-1] == 20
@@ -271,10 +284,8 @@ def init_one_atom_at_a_time(X, n_atoms, seed):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     cols = []
-    for i in range(n_atoms):
-        atom = nonzero[perm[i % n]].copy()
-        if i >= n:
-            atom = atom + rng.normal(0.0, 0.01 * np.linalg.norm(atom), atom.shape)
+    for i in range(min(n_atoms, n)):
+        atom = nonzero[perm[i]]
         cols.append(atom / np.linalg.norm(atom))
     return np.stack(cols, axis=1)
 
@@ -290,10 +301,11 @@ class TestInitDictionary:
 
     def test_matches_one_atom_at_a_time(self):
         rng = np.random.default_rng(13)
-        for n, bands, n_atoms in ((20, 6, 5), (7, 30, 40), (3, 60, 1000)):
+        for n, bands, n_atoms, kept in ((20, 6, 5, 5), (7, 30, 40, 6), (3, 60, 1000, 2)):
             X = rng.normal(size=(n, bands)) * rng.uniform(0.01, 100.0)
             X[0] = 0.0
             D = h.init_dictionary(X, n_atoms, seed=n)
+            assert D.n_atoms == kept
             assert D.columns.flags.c_contiguous
             assert D.columns.tobytes() == init_one_atom_at_a_time(X, n_atoms, n).tobytes()
 
@@ -366,6 +378,15 @@ class TestLearnGlobalDictionaries:
                     ("hsidet.predetect", "hsidet.config", "hsidet.detector")}
         assert borrowed == set()
         assert not hasattr(dictlearn, "DictionaryFit")
+
+    def test_background_dictionary_capped_at_its_samples(self):
+        # A 16x16 scene at the default config asks for 1000 background atoms
+        # but trains on 204 samples, so D_b has one atom per sample.
+        spec = h.SceneSpec(width=16, height=16, bands=60, n_endmembers=4, n_targets=6,
+                           target_fill=0.3, noise_sigma=0.03, seed=7, placement="scattered")
+        cube, _, signature = h.generate(spec)
+        fit = h.Fit(cube, signature, h.DetectorConfig(seed=7))
+        assert fit.D_b.n_atoms == len(fit.training_sets[1]) == 204
 
     def test_default_atom_counts(self):
         config = h.DetectorConfig()

@@ -1,5 +1,6 @@
 """ROC / AUC tests against rank-statistic and all-thresholds oracles."""
 
+import re
 from xml.etree import ElementTree
 
 import numpy as np
@@ -148,6 +149,17 @@ class TestCompare:
         assert (tmp_path / "auc.csv").read_text().splitlines()[0] == "method,auc"
         assert (tmp_path / "roc_m.csv").exists()
         assert (tmp_path / "roc.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("name", ["\u00e9", "", "a,b", "a/b"])
+    def test_bad_name_rejected_before_anything_is_written(self, tmp_path, name):
+        labels = np.array([[1, 0], [0, 1]])
+        smap = h.ScoreMap(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        rows = h.compare([("m", smap), (name, smap)], h.GroundTruthMask(labels))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^score map name {re.escape(repr(name))} is empty, "
+                                             "not ASCII or contains ',' or '/'$"):
+            h.write_comparison(rows, str(out))
+        assert not out.exists()
 
     def test_svg_is_well_formed_for_any_name(self, tmp_path):
         labels = np.array([[1, 0], [0, 1]])
