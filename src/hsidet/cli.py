@@ -3,8 +3,10 @@
 Subcommands compose the pipeline: ``synth`` writes a synthetic scene,
 ``detect`` runs one detector on a cube, ``eval`` scores saved maps against
 a mask, and ``compare`` chains all three to produce a method-comparison
-table.  Every run is deterministic given its flags and seed, and a
-manifest JSON is written next to the outputs for exact replay.
+table.  Every run is deterministic given its flags and seed.  ``synth`` and
+``compare`` write ``manifest.json`` into their output directory, and
+``detect`` writes ``<method>.manifest.json`` beside ``<method>.csv``, so
+each file records the configuration that made it.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -60,9 +62,9 @@ def _config_from_args(args, base: DetectorConfig) -> DetectorConfig:
     return base.with_overrides(**overrides)
 
 
-def _write_manifest(out_dir: str, payload: dict) -> None:
+def _write_manifest(path: str, payload: dict) -> None:
     payload = {**payload, "timestamp": datetime.datetime.now().isoformat()}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -119,8 +121,8 @@ def cmd_synth(args) -> int:
         spec = type(spec)(**{**spec.__dict__, "seed": args.seed})
     cube, mask, signature = generate(spec)
     paths = _write_scene(args.out, cube, mask, signature)
-    _write_manifest(args.out, {"command": "synth", "preset": args.preset,
-                               "spec": spec.__dict__, "outputs": paths})
+    _write_manifest(os.path.join(args.out, "manifest.json"), {
+        "command": "synth", "preset": args.preset, "spec": spec.__dict__, "outputs": paths})
     log.info("wrote scene to %s", args.out)
     return 0
 
@@ -132,7 +134,7 @@ def cmd_detect(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, args.method)
     hio.save_scoremap(smap, base)
-    _write_manifest(args.out, {
+    _write_manifest(base + ".manifest.json", {
         "command": "detect", "method": args.method, "config": config.to_dict(),
         "inputs": {"cube": args.cube, "signature": args.signature},
         "outputs": {"scores": base + ".csv"},
@@ -197,7 +199,7 @@ def cmd_compare(args) -> int:
     for m, smap in maps.items():
         hio.save_scoremap(smap, os.path.join(out, m))
     write_comparison(rows, out)
-    _write_manifest(out, {
+    _write_manifest(os.path.join(out, "manifest.json"), {
         "command": "compare", "preset": args.preset, "methods": methods,
         "config": config.to_dict(), "inputs": scene_paths,
     })

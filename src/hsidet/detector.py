@@ -22,7 +22,7 @@ from . import dictlearn, predetect
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
 from .hierdict import NORM_TOLERANCE, WindowSpec, unit_pixels, window_rings
-from .sparse import SolverParams, _row_dots, block_dense, block_residuals, code_block
+from .sparse import SolverParams, block_residuals, code_block
 
 
 def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
@@ -32,8 +32,7 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
     no ring when ``window`` is None.
 
     Yields, for each image row in turn, the row's spectra, the pool array
-    [shared | unit-norm nonzero pixels of the row's window band], the
-    (width, pool atoms) mask of each pixel's atoms in the pool, and the
+    [shared | unit-norm nonzero pixels of the row's window band], and the
     pixels' code block (``sparse.code_block``) in pool columns.  An empty
     or all-zero-norm ring raises ``ValueError`` naming the first such pixel
     in row-major order.
@@ -58,7 +57,7 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
             band, rings = window_rings(nonzero, y, range(width), window)
             pool = np.hstack([shared.columns, unit[:, band]])
             masks = np.hstack([every, rings])
-        yield row, pool, masks, code_block(row, pool, params, masks)
+        yield row, pool, code_block(row, pool, params, masks)
 
 
 def residual_maps(cube: HsiCube, D_t: Dictionary, D_b_global: Dictionary,
@@ -74,7 +73,7 @@ def residual_maps(cube: HsiCube, D_t: Dictionary, D_b_global: Dictionary,
     r_t = block_residuals(pixels, D_t.columns, *code_block(pixels, D_t.columns, params))
     r_b = np.concatenate([
         block_residuals(row, pool, *block)
-        for row, pool, _, block in _ring_codes(cube, D_b_global, window, params)
+        for row, pool, block in _ring_codes(cube, D_b_global, window, params)
     ])
     shape = (cube.height, cube.width)
     return ScoreMap(r_t.reshape(shape)), ScoreMap(r_b.reshape(shape))
@@ -180,20 +179,16 @@ def wshr_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMa
 
 
 def _std(fit: Fit) -> ScoreMap:
-    cube, D_t = fit.cube, fit.D_t
-    n_t = D_t.n_atoms
+    n_t = fit.D_t.n_atoms
     scores = []
-    for row, pool, masks, block in _ring_codes(cube, D_t, fit.config.window, fit.params):
-        dense = block_dense(*block, pool.shape[1])
-        rec_t = (D_t.columns[None] @ dense[:, :n_t, None])[:, :, 0]
-        # r_b spans each pixel's whole ring, zero coefficients included, in
-        # the ring's own column order: the rounding of rec_b depends on both.
-        ring = masks[:, n_t:]
-        cols = np.argsort(~ring, axis=1, kind="stable")[:, :ring.sum(axis=1).max()]
-        cols = np.where(np.take_along_axis(ring, cols, axis=1), n_t + cols, -1)
-        r_b = block_residuals(row, pool, cols, np.take_along_axis(dense, cols, axis=1))
-        scores.append(r_b - np.sqrt(_row_dots(row - rec_t)))
-    return ScoreMap(np.concatenate(scores).reshape(cube.height, cube.width))
+    for row, pool, (support, coef) in _ring_codes(fit.cube, fit.D_t, fit.config.window, fit.params):
+        # Class-wise residuals of the joint code: each keeps its own atoms'
+        # coefficients and zeroes the other class's.
+        target = support < n_t
+        r_t = block_residuals(row, pool, support, np.where(target, coef, 0.0))
+        r_b = block_residuals(row, pool, support, np.where(target, 0.0, coef))
+        scores.append(r_b - r_t)
+    return ScoreMap(np.concatenate(scores).reshape(fit.cube.height, fit.cube.width))
 
 
 def std_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:

@@ -8,18 +8,20 @@ Atoms that are never selected across the whole run are replaced by the
 worst-reconstructed training sample.
 
 The surrogate objective tracked per epoch is the running average of
-0.5 * ||x - D a||^2 + lambda * ||a||_1 evaluated at coding time.
+0.5 * ||x - D a||^2 + lambda * ||a||_1 evaluated at coding time, each
+residual taken from the mini-batch's code block (``sparse.block_residuals``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cube import Dictionary
-from .sparse import MAX_NONZEROS, SolverParams, _row_dots, block_dense, block_residuals, code_block
+from .sparse import MAX_NONZEROS, SolverParams, _row_dots, block_residuals, code_block
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,9 @@ class OdlParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_atoms", "epochs", "batch_size", "sparsity", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be >= 1")
         if self.epochs < 1:
@@ -40,6 +45,8 @@ class OdlParams:
             raise ValueError("batch_size must be >= 1")
         if not 1 <= self.sparsity <= MAX_NONZEROS:
             raise ValueError(f"sparsity must lie in [1, {MAX_NONZEROS}]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _as_sample_matrix(samples) -> np.ndarray:
@@ -135,9 +142,8 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
             i, p = np.nonzero(atoms)
             np.add.at(B.T, support[i, p], X[batch[i]] * coef[i, p, None])
             if objective_trace is not None:
-                for x, a in zip(X[batch], block_dense(support, coef, k)):
-                    r = x - D @ a
-                    epoch_obj += 0.5 * float(r @ r) + params.lam * float(np.abs(a).sum())
+                r = block_residuals(X[batch], D, support, coef)
+                epoch_obj += float(np.sum(0.5 * r * r + params.lam * np.abs(coef).sum(axis=1)))
             _update_atoms(D, A, B, coupled)
         if objective_trace is not None:
             objective_trace.append(epoch_obj / n)

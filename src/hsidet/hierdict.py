@@ -11,6 +11,7 @@ hierarchical dictionary [global atoms | ring], one pool per image row.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ class WindowSpec:
     inner: int = 9
 
     def __post_init__(self):
+        for name in ("outer", "inner"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.inner < 1:
             raise ValueError("inner window must be >= 1")
         if self.outer <= self.inner:

@@ -23,13 +23,14 @@ A stack's codes are one block (``code_block``): (n, cap) atom indices, each
 row's ascending and then -1 padding, and (n, cap) coefficients, 0.0 at the
 padding, which an exact-zero coefficient joins.  ``code_block`` checks
 nothing: its callers pass a C-contiguous, finite float64 stack and a plain
-matrix, so a code depends on values, not layout.  The pipeline reads blocks
-(``block_residuals``, ``block_dense``); only the public ``sparse_code`` and
-``sparse_codes`` build ``SparseCode``s.
+matrix, so a code depends on values, not layout.  The pipeline forms every
+residual from a block with ``block_residuals``; only the public
+``sparse_code`` and ``sparse_codes`` build ``SparseCode``s.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -53,6 +54,8 @@ class SolverParams:
     def __post_init__(self):
         if not (isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lam must be finite and >= 0")
+        if not isinstance(self.max_nonzeros, numbers.Integral):
+            raise ValueError("max_nonzeros must be an integer")
         if not 1 <= self.max_nonzeros <= MAX_NONZEROS:
             raise ValueError(f"max_nonzeros must lie in [1, {MAX_NONZEROS}]")
 
@@ -317,13 +320,6 @@ def block_residuals(X, mat, support, coef) -> np.ndarray:
         rows = np.flatnonzero(counts == size)
         R[rows] -= (_columns(mat, support[rows, :size]) @ coef[rows, :size, None])[:, :, 0]
     return np.sqrt(_row_dots(R))
-
-
-def block_dense(support, coef, n_atoms) -> np.ndarray:
-    """A block's codes as (n, n_atoms) coefficient vectors."""
-    out = np.zeros((len(support), n_atoms + 1))  # padding fills the spare last column
-    out[np.arange(len(support))[:, None], support] = coef
-    return out[:, :n_atoms]
 
 
 def residual_norm(x: np.ndarray, D: Dictionary, code: SparseCode) -> float:

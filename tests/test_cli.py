@@ -83,8 +83,8 @@ class TestDetectCommand:
         rc = main(["detect", "--method", "cem", "--cube", paths["cube"],
                    "--signature", paths["signature"], "--out", out])
         assert rc == 0
-        assert sorted(os.listdir(tmp_path / "det")) == ["cem.csv", "manifest.json"]
-        manifest = json.loads((tmp_path / "det" / "manifest.json").read_text())
+        assert sorted(os.listdir(tmp_path / "det")) == ["cem.csv", "cem.manifest.json"]
+        manifest = json.loads((tmp_path / "det" / "cem.manifest.json").read_text())
         assert manifest["outputs"] == {"scores": os.path.join(out, "cem.csv")}
         assert manifest["method"] == "cem"
         assert manifest["config"]["gamma"] == 0.3
@@ -98,11 +98,32 @@ class TestDetectCommand:
                    "--target-atoms", "3", "--train-targets", "4",
                    "--bg-fraction", "0.6", "--gamma", "0.25"])
         assert rc == 0
-        manifest = json.loads((tmp_path / "det" / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "det" / "wshr.manifest.json").read_text())
         assert manifest["config"]["owr"] == 5
         assert manifest["config"]["gamma"] == 0.25
         smap = h.load_scoremap(str(tmp_path / "det" / "wshr"))
         assert (smap.height, smap.width) == (10, 10)
+
+    def test_each_method_keeps_its_own_manifest(self, tmp_path):
+        # Two detect runs into a synth output directory: each score map keeps
+        # the record of its own config, and the scene's manifest survives.
+        out = str(tmp_path / "scene")
+        assert main(["synth", "--preset", "sparse-targets", "--out", out]) == 0
+        inputs = ["--cube", os.path.join(out, "scene.hdr"),
+                  "--signature", os.path.join(out, "scene.sig"), "--out", out]
+        assert main(["detect", "--method", "std", *inputs,
+                     "--owr", "9", "--iwr", "3", "--bg-atoms", "64"]) == 0
+        assert main(["detect", "--method", "cem", *inputs]) == 0
+
+        def manifest(name):
+            return json.loads((tmp_path / "scene" / name).read_text())
+
+        assert manifest("manifest.json")["command"] == "synth"
+        std, cem = manifest("std.manifest.json"), manifest("cem.manifest.json")
+        assert (std["method"], std["config"]["owr"], std["config"]["iwr"],
+                std["config"]["n_bg_atoms"]) == ("std", 9, 3, 64)
+        assert (cem["method"], cem["config"]["owr"], cem["config"]["n_bg_atoms"]) == ("cem", 19, 1000)
+        assert std["outputs"] == {"scores": os.path.join(out, "std.csv")}
 
     def test_missing_cube_is_runtime_error(self, tmp_path, caplog):
         caplog.set_level(logging.DEBUG, logger="hsidet")

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import hsidet as h
@@ -32,6 +33,29 @@ import hsidet as h
 def test_bad_value_is_rejected_naming_the_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):
         h.DetectorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("cls,kwargs,message", [
+    (h.WindowSpec, {"outer": 9.0, "inner": 3}, "outer must be an integer"),
+    (h.WindowSpec, {"outer": 9, "inner": 3.0}, "inner must be an integer"),
+    (h.SolverParams, {"max_nonzeros": 2.0}, "max_nonzeros must be an integer"),
+    (h.OdlParams, {"n_atoms": 2.5}, "n_atoms must be an integer"),
+    (h.OdlParams, {"n_atoms": 4, "epochs": 2.0}, "epochs must be an integer"),
+    (h.OdlParams, {"n_atoms": 4, "batch_size": 8.0}, "batch_size must be an integer"),
+    (h.OdlParams, {"n_atoms": 4, "sparsity": 3.0}, "sparsity must be an integer"),
+    (h.OdlParams, {"n_atoms": 4, "seed": 1.5}, "seed must be an integer"),
+    (h.OdlParams, {"n_atoms": 4, "seed": -1}, "seed must be >= 0"),
+])
+def test_pipeline_parameters_reject_bad_counts_naming_the_field(cls, kwargs, message):
+    # Caught at construction, not as a TypeError or a NumPy error mid-run.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls(**kwargs)
+
+
+def test_pipeline_parameters_accept_numpy_integers():
+    assert h.WindowSpec(np.int64(9), np.int64(3)).outer == 9
+    assert h.SolverParams(max_nonzeros=np.int64(3)).max_nonzeros == 3
+    assert h.OdlParams(n_atoms=np.int64(4), epochs=np.int32(2), seed=np.int64(0)).n_atoms == 4
 
 
 def test_to_dict_keys_are_the_fields_with_window_split():

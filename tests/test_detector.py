@@ -219,10 +219,28 @@ def per_pixel_std(cube, D_t, window, params):
             spec = cube.data[:, y, x]
             local = h.local_background(cube, x, y, window)
             joint = h.Dictionary(np.hstack([D_t.columns, local.columns]))
+            code = h.sparse_code(spec, joint, params)
+            target = code.indices < n_t
+            r_t, r_b = (h.residual_norm(spec, joint, h.SparseCode(
+                code.indices, np.where(keep, code.coefficients, 0.0), joint.n_atoms))
+                for keep in (target, ~target))
+            out[y, x] = r_b - r_t
+    return out
+
+
+def dense_std(cube, D_t, window, params):
+    """STD from each pixel's dense joint code: ||x - ring a_ring|| -
+    ||x - D_t a_t||, an oracle for the split of the code into its classes."""
+    out = np.empty((cube.height, cube.width))
+    n_t = D_t.n_atoms
+    for y in range(cube.height):
+        for x in range(cube.width):
+            spec = cube.data[:, y, x]
+            local = h.local_background(cube, x, y, window)
+            joint = h.Dictionary(np.hstack([D_t.columns, local.columns]))
             dense = h.sparse_code(spec, joint, params).dense()
-            rec_t = D_t.columns @ dense[:n_t]
-            rec_b = local.columns @ dense[n_t:]
-            out[y, x] = np.linalg.norm(spec - rec_b) - np.linalg.norm(spec - rec_t)
+            out[y, x] = (np.linalg.norm(spec - local.columns @ dense[n_t:])
+                         - np.linalg.norm(spec - D_t.columns @ dense[:n_t]))
     return out
 
 
@@ -294,6 +312,9 @@ class TestWindowedCoder:
         params = h.SolverParams(lam=0.05, max_nonzeros=k)
         got = std_map(cube, D_t, window, params)
         assert got.tobytes() == per_pixel_std(cube, D_t, window, params).tobytes()
+        # The bit-exact reference shares residual_norm's class split with the
+        # implementation; the dense formula checks the split on its own.
+        assert np.allclose(got, dense_std(cube, D_t, window, params), rtol=0, atol=1e-12)
 
     def test_global_only_and_local_only(self):
         rng = np.random.default_rng(300)

@@ -38,14 +38,14 @@ def dense_outer_odl(samples, params):
         order = rng.permutation(n)
         epoch_obj = 0.0
         for start in range(0, n, params.batch_size):
-            codes = []
+            codes, terms = [], []
             for i in order[start:start + params.batch_size]:
                 code = h.sparse_code(X[i], h.Dictionary(D), solver)
-                a = code.dense()
-                codes.append((X[i], a))
-                r = X[i] - D @ a
-                epoch_obj += 0.5 * float(r @ r) + params.lam * float(np.abs(a).sum())
+                codes.append((X[i], code.dense()))
+                r = h.residual_norm(X[i], h.Dictionary(D), code)
+                terms.append(0.5 * r * r + params.lam * np.abs(code.coefficients).sum())
                 used[code.indices] = True
+            epoch_obj += float(np.sum(terms))
             for x, a in codes:
                 A += np.outer(a, a)
                 B += np.outer(x, a)
