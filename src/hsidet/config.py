@@ -41,6 +41,8 @@ class DetectorConfig:
     orientation = "flip_both"
 
     def __post_init__(self):
+        if not isinstance(self.window, WindowSpec):
+            raise ValueError("window must be a WindowSpec")
         for name in (*_COUNTS, "k", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")

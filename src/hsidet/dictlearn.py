@@ -110,6 +110,11 @@ def _update_atoms(D, A, B, coupled) -> None:
 def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -> Dictionary:
     """Learn a unit-norm dictionary from spectra; deterministic given the seed.
 
+    A draw that holds every nonzero sample is the dictionary, with no epochs:
+    each sample codes as its own atom alone, whose refresh returns it up to
+    rounding.  At the default and preset configs D_t is such a draw, the
+    unit-norm CEM-selected pixels in draw order.
+
     If ``objective_trace`` is a list it receives the mean surrogate objective
     of each epoch; the objective is only computed then.
     """
@@ -117,6 +122,8 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
     n, m = X.shape
     D = _initial_atoms(X, params.n_atoms, params.seed)
     k = D.shape[1]
+    if k == np.count_nonzero(np.linalg.norm(X, axis=1) > 0.0):
+        return Dictionary(D)
     rng = np.random.default_rng(params.seed + 1)
     solver = SolverParams(lam=params.lam, max_nonzeros=min(params.sparsity, k))
 

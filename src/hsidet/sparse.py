@@ -248,7 +248,9 @@ def code_block(X: np.ndarray, mat: np.ndarray, params: SolverParams,
                mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The codes ``sparse_codes`` gives the rows of ``X`` against ``mat``, as
     one block.  ``X`` is a C-contiguous, finite float64 (n, bands) stack and
-    ``mat`` a (bands, atoms) array; neither is checked here."""
+    ``mat`` a (bands, atoms) array; neither is checked here.  A boolean (n,
+    atoms) ``mask`` codes row i against ``mat[:, mask[i]]``, in column order,
+    with indices that count ``mat``'s columns."""
     n, n_atoms = X.shape[0], mat.shape[1]
     cap = min(params.max_nonzeros, n_atoms)
     support, coef = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))
@@ -282,18 +284,11 @@ def sparse_code(x: np.ndarray, D: Dictionary, params: SolverParams) -> SparseCod
     return sparse_codes(np.asarray(x, dtype=np.float64)[None], D, params)[0]
 
 
-def sparse_codes(X: np.ndarray, D: Dictionary, params: SolverParams,
-                 mask: np.ndarray | None = None) -> list[SparseCode]:
+def sparse_codes(X: np.ndarray, D: Dictionary, params: SolverParams) -> list[SparseCode]:
     """Codes of the rows of ``X`` (n_spectra, bands) against one dictionary,
     computed together; each is the code ``sparse_code`` gives its row.
     ``X`` is copied to one C-contiguous float64 stack first, so the codes
-    depend on its values, not its layout.
-
-    A boolean ``mask`` (n_spectra, atoms) makes ``D`` a pool from which
-    each row draws its own dictionary: row i is coded against
-    ``D.columns[:, mask[i]]``, in column order, and its code's indices
-    count ``D``'s columns.  Rows still share one greedy pass.  Ties go to
-    the lowest column, in the pool as in the row's own dictionary."""
+    depend on its values, not its layout."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("spectra must be a 2-D (n_spectra, bands) array")
@@ -301,11 +296,7 @@ def sparse_codes(X: np.ndarray, D: Dictionary, params: SolverParams,
         raise ValueError("non-finite input spectrum")
     if X.shape[1] != D.bands:
         raise ValueError(f"spectrum length {X.shape[1]} does not match dictionary bands {D.bands}")
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.dtype != bool or mask.shape != (X.shape[0], D.n_atoms):
-            raise ValueError("mask must be a boolean (n_spectra, atoms) array")
-    support, coef = code_block(X, D.columns, params, mask)
+    support, coef = code_block(X, D.columns, params)
     return [SparseCode(s[s >= 0], c[s >= 0], D.n_atoms) for s, c in zip(support, coef)]
 
 

@@ -29,6 +29,7 @@ import hsidet as h
     ("odl_epochs", 2.0),
     ("k", 2.5),
     ("seed", 1.5),
+    ("window", (9, 3)),
 ])
 def test_bad_value_is_rejected_naming_the_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):

@@ -24,11 +24,14 @@ def subspace_samples(rng, n=60, bands=10, dim=3):
 
 def dense_outer_odl(samples, params):
     """ODL with dense rank-one statistics updates and a fresh dictionary per
-    coding call.  Returns (dictionary, per-epoch objectives, dead atoms)."""
+    coding call.  Returns (dictionary, per-epoch objectives, dead atoms); a
+    draw of every nonzero sample is returned as drawn."""
     X = np.asarray(samples, dtype=np.float64)
     n, m = X.shape
     D = h.init_dictionary(X, params.n_atoms, params.seed).columns.copy()
     k = D.shape[1]
+    if k == np.count_nonzero(np.linalg.norm(X, axis=1)):
+        return h.Dictionary(D), [], 0
     rng = np.random.default_rng(params.seed + 1)
     solver = h.SolverParams(lam=params.lam, max_nonzeros=min(params.sparsity, k))
     A, B = np.zeros((k, k)), np.zeros((m, k))
@@ -73,14 +76,14 @@ def dense_outer_odl(samples, params):
 
 class TestOdlLearn:
     @pytest.mark.parametrize("n_samples,bands,n_atoms,lam", [
-        (12, 10, 30, 0.1),   # more atoms than samples: one atom per sample
+        (12, 20, 11, 0.1),   # one sample drawn twice: a tied atom dies
         (60, 20, 12, 0.05),  # greedy coding path, codes of several atoms
         (30, 8, 6, 0.0),     # exact enumeration path, plain least squares
     ])
     def test_matches_dense_outer_reference_bit_exact(self, n_samples, bands, n_atoms, lam):
         rng = np.random.default_rng(n_atoms)
         X = rng.normal(size=(n_samples, bands))  # codes with several atoms
-        if n_atoms > n_samples:
+        if n_atoms == n_samples - 1:
             # Duplicate atoms tie, the lower column wins and the other dies.
             X[1] = X[0]
         params = h.OdlParams(n_atoms=n_atoms, lam=lam, epochs=3, batch_size=8, seed=4)
@@ -89,8 +92,8 @@ class TestOdlLearn:
         want, want_trace, dead = dense_outer_odl(X, params)
         assert np.array_equal(D.columns, want.columns)
         assert trace == want_trace
-        assert D.n_atoms == min(n_atoms, n_samples)
-        if n_atoms > n_samples:
+        assert D.n_atoms == n_atoms
+        if n_atoms == n_samples - 1:
             assert dead > 0
 
     def test_atoms_are_unit_norm(self):
@@ -192,13 +195,13 @@ class TestOdlLearn:
             h.odl_learn(X, h.OdlParams(n_atoms=2))
 
     def test_dead_atoms_skip_zero_samples(self):
-        # Both atoms are one spectrum, so both nonzero samples code with atom
-        # 0 and atom 1 dies.  Every residual is zero, so the worst-
+        # Both atoms are one spectrum, so every nonzero sample codes with
+        # atom 0 and atom 1 dies.  Every residual is zero, so the worst-
         # reconstructed sample is the zero one; atom 1 takes a nonzero
         # sample instead.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            D = h.odl_learn([[0, 0, 0], [1, 0, 0], [1, 0, 0]],
+            D = h.odl_learn([[0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 0, 0]],
                             h.OdlParams(n_atoms=2, lam=0.0, epochs=1))
         assert np.array_equal(D.columns, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
@@ -232,14 +235,35 @@ class TestStackedOdl:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(20, 10))
         X[1] = X[0]  # its two atoms tie, so one of them dies
-        h.odl_learn(X, h.OdlParams(n_atoms=40, epochs=3, batch_size=8, seed=1))
+        h.odl_learn(X, h.OdlParams(n_atoms=19, epochs=3, batch_size=8, seed=1))
         # three epochs of batches of 8, 8 and 4 samples, then one call that
         # codes every sample to rank the replacements of dead atoms
         assert calls == [8, 8, 4] * 3 + [20]
 
+    def test_a_draw_of_every_sample_is_the_dictionary(self, monkeypatch):
+        # Each sample would code as its own atom alone, and the refresh would
+        # return that atom up to rounding: the draw is returned, and nothing
+        # is coded.
+        calls = []
+        code_block = dictlearn.code_block
+
+        def counting(X, D, params):
+            calls.append(len(X))
+            return code_block(X, D, params)
+
+        monkeypatch.setattr(dictlearn, "code_block", counting)
+        X = np.random.default_rng(14).normal(size=(12, 10))
+        X[3] = 0.0
+        trace = []
+        D = h.odl_learn(X, h.OdlParams(n_atoms=30, epochs=3, batch_size=8, seed=2),
+                        objective_trace=trace)
+        assert calls == [] and trace == []
+        assert D.n_atoms == 11
+        assert D.columns.tobytes() == h.init_dictionary(X, 30, 2).columns.tobytes()
+
     def test_sample_layout_does_not_change_the_atoms(self, monkeypatch):
-        # A repeated sample leaves a dead atom, so the dead-atom pass codes
-        # every sample.
+        # A repeated sample drawn twice leaves a dead atom, so the dead-atom
+        # pass codes every sample.
         calls = []
         code_block = dictlearn.code_block
 
@@ -250,7 +274,7 @@ class TestStackedOdl:
         monkeypatch.setattr(dictlearn, "code_block", counting)
         X = np.random.default_rng(9).normal(size=(20, 10))
         X[1] = X[0]
-        params = h.OdlParams(n_atoms=40, epochs=3, batch_size=8, seed=1)
+        params = h.OdlParams(n_atoms=19, epochs=3, batch_size=8, seed=1)
         learned = [h.odl_learn(rows, params) for rows in (X, np.asfortranarray(X))]
         assert calls[9] == calls[-1] == 20
         assert learned[0].columns.tobytes() == learned[1].columns.tobytes()
@@ -387,6 +411,14 @@ class TestLearnGlobalDictionaries:
         cube, _, signature = h.generate(spec)
         fit = h.Fit(cube, signature, h.DetectorConfig(seed=7))
         assert fit.D_b.n_atoms == len(fit.training_sets[1]) == 204
+
+    def test_preset_target_dictionary_is_its_draw(self):
+        # The preset's 10 CEM-selected pixels give its 10 target atoms.
+        cube, _, signature = h.generate(h.PRESETS["sparse-targets"])
+        config = h.preset_config("sparse-targets")
+        fit = h.Fit(cube, signature, config)
+        want = h.init_dictionary(fit.training_sets[0], 10, config.seed)
+        assert fit.D_t.columns.tobytes() == want.columns.tobytes()
 
     def test_default_atom_counts(self):
         config = h.DetectorConfig()
