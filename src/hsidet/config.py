@@ -46,6 +46,9 @@ class DetectorConfig:
         for name in (*_COUNTS, "k", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
+        for name in ("lam", "gamma", "bg_fraction"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number")
         for name in _COUNTS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

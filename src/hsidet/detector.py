@@ -21,8 +21,11 @@ import numpy as np
 from . import dictlearn, predetect
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
-from .hierdict import NORM_TOLERANCE, WindowSpec, unit_pixels, window_rings
+from .hierdict import NORM_TOLERANCE, WindowSpec, check_rings, unit_pixels, window_rings
 from .sparse import SolverParams, block_residuals, code_block
+
+
+_TILE = 16  # side of the square image tiles whose pixels share one pool
 
 
 def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
@@ -31,11 +34,15 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
     then its unit-norm dual-window ring (``hierdict.local_background``), or
     no ring when ``window`` is None.
 
-    Yields, for each image row in turn, the row's spectra, the pool array
-    [shared | unit-norm nonzero pixels of the row's window band], and the
-    pixels' code block (``sparse.code_block``) in pool columns.  An empty
-    or all-zero-norm ring raises ``ValueError`` naming the first such pixel
-    in row-major order.
+    Yields blocks of pixels as (row-major pixel indices, spectra, pool
+    array, the pixels' code block in pool columns from
+    ``sparse.code_block``).  With no window every pixel is one block against
+    the shared atoms.  Otherwise each ``_TILE`` x ``_TILE`` tile, cut short
+    at the right and bottom edges, is a block whose pool is [shared |
+    unit-norm nonzero pixels of the tile's rectangle widened by
+    ``outer // 2`` and clamped], in row-major order.  An empty or
+    all-zero-norm ring raises ``ValueError`` naming the first such pixel in
+    row-major order, before any pixel is coded.
     """
     if shared.n_atoms == 0 and window is None:
         raise ValueError("both background dictionaries are empty")
@@ -45,19 +52,23 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
         if np.max(np.abs(np.linalg.norm(shared.columns, axis=0) - 1.0)) > NORM_TOLERANCE:
             raise ValueError("shared dictionary is not unit-norm")
     pixels = cube.pixels()
-    width = cube.width
-    every = np.ones((width, shared.n_atoms), dtype=bool)
-    if window is not None:
-        unit, nonzero = unit_pixels(cube)
-    for y in range(cube.height):
-        row = pixels[y * width:(y + 1) * width]
-        if window is None:
-            pool, masks = shared.columns, every
-        else:
-            band, rings = window_rings(nonzero, y, range(width), window)
-            pool = np.hstack([shared.columns, unit[:, band]])
-            masks = np.hstack([every, rings])
-        yield row, pool, code_block(row, pool, params, masks)
+    if window is None:
+        yield slice(None), pixels, shared.columns, code_block(pixels, shared.columns, params)
+        return
+    unit, nonzero = unit_pixels(cube)
+    height, width = nonzero.shape
+    check_rings(nonzero, range(height), range(width), window)
+    index = np.arange(height * width).reshape(height, width)
+    for y in range(0, height, _TILE):
+        for x in range(0, width, _TILE):
+            tile = index[y:y + _TILE, x:x + _TILE]
+            near, rings = window_rings(nonzero, range(y, y + tile.shape[0]),
+                                       range(x, x + tile.shape[1]), window)
+            pool = np.hstack([shared.columns, unit[:, near]])
+            masks = np.hstack([np.ones((tile.size, shared.n_atoms), dtype=bool), rings])
+            pixel = tile.ravel()
+            X = pixels[pixel]  # the tile's spectra, gathered into a C-contiguous stack
+            yield pixel, X, pool, code_block(X, pool, params, masks)
 
 
 def residual_maps(cube: HsiCube, D_t: Dictionary, D_b_global: Dictionary,
@@ -71,10 +82,9 @@ def residual_maps(cube: HsiCube, D_t: Dictionary, D_b_global: Dictionary,
     # Every pixel shares D_t, so its codes are stacked.
     pixels = cube.pixels()
     r_t = block_residuals(pixels, D_t.columns, *code_block(pixels, D_t.columns, params))
-    r_b = np.concatenate([
-        block_residuals(row, pool, *block)
-        for row, pool, block in _ring_codes(cube, D_b_global, window, params)
-    ])
+    r_b = np.empty_like(r_t)
+    for pixel, X, pool, block in _ring_codes(cube, D_b_global, window, params):
+        r_b[pixel] = block_residuals(X, pool, *block)
     shape = (cube.height, cube.width)
     return ScoreMap(r_t.reshape(shape)), ScoreMap(r_b.reshape(shape))
 
@@ -180,15 +190,16 @@ def wshr_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMa
 
 def _std(fit: Fit) -> ScoreMap:
     n_t = fit.D_t.n_atoms
-    scores = []
-    for row, pool, (support, coef) in _ring_codes(fit.cube, fit.D_t, fit.config.window, fit.params):
+    scores = np.empty(fit.cube.height * fit.cube.width)
+    for pixel, X, pool, (support, coef) in _ring_codes(fit.cube, fit.D_t, fit.config.window,
+                                                        fit.params):
         # Class-wise residuals of the joint code: each keeps its own atoms'
         # coefficients and zeroes the other class's.
         target = support < n_t
-        r_t = block_residuals(row, pool, support, np.where(target, coef, 0.0))
-        r_b = block_residuals(row, pool, support, np.where(target, 0.0, coef))
-        scores.append(r_b - r_t)
-    return ScoreMap(np.concatenate(scores).reshape(fit.cube.height, fit.cube.width))
+        r_t = block_residuals(X, pool, support, np.where(target, coef, 0.0))
+        r_b = block_residuals(X, pool, support, np.where(target, 0.0, coef))
+        scores[pixel] = r_b - r_t
+    return ScoreMap(scores.reshape(fit.cube.height, fit.cube.width))
 
 
 def std_detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig) -> ScoreMap:

@@ -4,9 +4,10 @@ Every pixel inside the outer window of a dual concentric sliding window but
 outside its inner window contributes its spectrum as one atom.  Windows are
 clamped at image borders (no padding), zero-norm pixels are dropped, and
 every atom is normalized to unit length.  The image is normalized once
-(``unit_pixels``) and every ring, of one pixel or of a whole image row,
-follows one rule (``window_rings``).  ``detector._ring_codes`` builds the
-hierarchical dictionary [global atoms | ring], one pool per image row.
+(``unit_pixels``) and every ring, of one pixel or of a whole image tile,
+follows one rule (``window_rings``); one box-sum rule (``check_rings``)
+names the first pixel whose ring is empty.  ``detector._ring_codes`` builds
+the hierarchical dictionary [global atoms | ring], one pool per 16x16 tile.
 """
 
 from __future__ import annotations
@@ -56,41 +57,71 @@ def unit_pixels(cube: HsiCube) -> tuple[np.ndarray, np.ndarray]:
     return flat / np.where(nonzero, norms, 1.0), nonzero.reshape(cube.height, cube.width)
 
 
-def window_rings(nonzero: np.ndarray, y: int, xs, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The dual-window rings of the pixels (x, y), x in ``xs``, of one image row.
+def window_rings(nonzero: np.ndarray, ys: range, xs: range,
+                 w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The dual-window rings of the pixels of one tile: the image rows ``ys``
+    by the columns ``xs``, two ranges of step 1.
 
     ``nonzero`` is the (height, width) mask of nonzero-norm pixels.  Returns
-    the row-major indices of the nonzero-norm pixels in the band of image
-    rows the clamped outer windows span, and a (len(xs), band pixels) mask
-    whose row i is True on the ring of (xs[i], y): its clamped outer window
-    minus its clamped inner window, zero-norm pixels dropped.  Both run in
-    row-major order.  Raises ``ValueError`` naming the first pixel whose
-    ring is empty or holds only zero-norm pixels."""
+    the row-major indices of the nonzero-norm pixels of the tile's rectangle
+    widened by ``outer // 2`` on every side and clamped to the image, and a
+    (tile pixels, pool pixels) mask whose row for (x, y), the tile's pixels
+    in row-major order, is True on its ring: its clamped outer window minus
+    its clamped inner window, zero-norm pixels dropped.  A ring may be
+    empty here; ``check_rings`` names such a pixel."""
     height, width = nonzero.shape
-    oy0, oy1 = max(0, y - w.outer // 2), min(height - 1, y + w.outer // 2)
-    xs = np.asarray(xs)
-    dx = np.abs(np.arange(width)[None, :] - xs[:, None])              # (pixel, column)
-    dy = np.abs(np.arange(oy0, oy1 + 1) - y)                          # (band row,)
-    inner = (dy <= w.inner // 2)[None, :, None] & (dx <= w.inner // 2)[:, None, :]
-    ring = ((dx <= w.outer // 2)[:, None, :] & ~inner).reshape(xs.size, -1)
-    kept = nonzero[oy0:oy1 + 1].ravel()
-    rings = ring[:, kept]
-    bad = ~rings.any(axis=1)
+    half = w.outer // 2
+    rows = np.arange(max(0, ys[0] - half), min(height, ys[-1] + half + 1))
+    cols = np.arange(max(0, xs[0] - half), min(width, xs[-1] + half + 1))
+    dy = np.abs(rows[None, :] - np.asarray(ys)[:, None])             # (tile row, pool row)
+    dx = np.abs(cols[None, :] - np.asarray(xs)[:, None])             # (tile column, pool column)
+    inner = (dy <= w.inner // 2)[:, None, :, None] & (dx <= w.inner // 2)[None, :, None, :]
+    outer = (dy <= half)[:, None, :, None] & (dx <= half)[None, :, None, :]
+    ring = (outer & ~inner).reshape(len(ys) * len(xs), rows.size * cols.size)
+    kept = nonzero[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1].ravel()
+    pool = (rows[:, None] * width + cols[None, :]).ravel()
+    return pool[kept], ring[:, kept]
+
+
+def _window_counts(mask: np.ndarray, ys: range, xs: range, half: int) -> np.ndarray:
+    """(len(ys), len(xs)) counts of the True pixels of ``mask`` in the
+    clamped square window of side 2 * half + 1 around each pixel (x, y)."""
+    height, width = mask.shape
+    table = np.zeros((height + 1, width + 1), dtype=np.intp)
+    table[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+    ys, xs = np.asarray(ys)[:, None], np.asarray(xs)
+    y0, y1 = np.clip(ys - half, 0, height), np.clip(ys + half + 1, 0, height)
+    x0, x1 = np.clip(xs - half, 0, width), np.clip(xs + half + 1, 0, width)
+    return table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
+
+
+def check_rings(nonzero: np.ndarray, ys: range, xs: range, w: WindowSpec) -> None:
+    """Raise ``ValueError`` naming the first pixel (x, y), y in ``ys`` and x
+    in ``xs``, in row-major order, whose ring is empty or holds only
+    zero-norm pixels.  A ring's count is its outer window's minus its inner
+    window's, both box sums over ``nonzero``."""
+    def ring_counts(mask):
+        return (_window_counts(mask, ys, xs, w.outer // 2)
+                - _window_counts(mask, ys, xs, w.inner // 2))
+
+    bad = ring_counts(nonzero) == 0
     if bad.any():
-        i = int(bad.argmax())
-        x = int(xs[i])
-        if not ring[i].any():
+        i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+        x, y = xs[j], ys[i]
+        if ring_counts(np.ones_like(nonzero))[i, j] == 0:
             raise ValueError(f"empty local window ring at ({x}, {y})")
         raise ValueError(f"all local window pixels at ({x}, {y}) have zero norm")
-    return oy0 * width + np.flatnonzero(kept), rings
 
 
 def local_background(cube: HsiCube, x: int, y: int, w: WindowSpec) -> Dictionary:
-    """Local background atoms for pixel (x, y): the clamped outer-minus-inner
-    ring in row-major order, zero-norm pixels dropped, columns unit-norm."""
+    """Local background atoms for pixel (x, y), a 1x1 tile: the clamped
+    outer-minus-inner ring in row-major order, zero-norm pixels dropped,
+    columns unit-norm."""
     if not (0 <= x < cube.width and 0 <= y < cube.height):
         raise IndexError(f"pixel ({x}, {y}) outside {cube.width}x{cube.height} image")
     unit, nonzero = unit_pixels(cube)
-    band, rings = window_rings(nonzero, y, [x], w)
-    return Dictionary(unit[:, band[rings[0]]])
+    ys, xs = range(y, y + 1), range(x, x + 1)
+    check_rings(nonzero, ys, xs, w)
+    pool, rings = window_rings(nonzero, ys, xs, w)
+    return Dictionary(unit[:, pool[rings[0]]])
 

@@ -42,7 +42,7 @@ from .cube import Dictionary
 
 MAX_NONZEROS = 12      # largest support cap: every support's 2^cap sign patterns are solved
 _ENUM_LIMIT = 512      # max support count for the exact small-dictionary path
-_STACK_ELEMENTS = 1 << 16  # target size of a stacked coding block, in doubles
+_STACK_ELEMENTS = 1 << 17  # target size of a stacked coding block, in doubles
 _TIE_RTOL = 1e-12      # correlations this close to a row's largest tie with it
 
 

@@ -30,6 +30,9 @@ import hsidet as h
     ("k", 2.5),
     ("seed", 1.5),
     ("window", (9, 3)),
+    ("gamma", "0.3"),
+    ("lam", None),
+    ("bg_fraction", "0.5"),
 ])
 def test_bad_value_is_rejected_naming_the_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):

@@ -254,11 +254,17 @@ def std_map(cube, D_t, window, params):
 # (bands, height, width, dead pixels, window, shared atoms, k): zero-norm
 # pixels, clamped borders on every side, an outer window wider than the
 # image, and dictionaries small enough to be enumerated (corners of the
-# first case, every pixel of the last) next to greedy-coded ones.
+# first case, every pixel of the third) next to greedy-coded ones.  The
+# 20x37 cases have short tiles on both axes, dead pixels at tile corners,
+# and rings that cross tile edges.
+TILED_DEAD = [(0, 19), (15, 15), (16, 16), (36, 0), (20, 5)]
 WINDOWED_CASES = [
     (12, 7, 9, [(1, 1), (4, 3), (8, 6)], h.WindowSpec(5, 1), 6, 3),
     (10, 6, 5, [(2, 2)], h.WindowSpec(11, 3), 8, 3),
     (9, 5, 6, [(0, 0), (5, 4)], h.WindowSpec(3, 1), 4, 2),
+    (8, 20, 37, TILED_DEAD, h.WindowSpec(3, 1), 10, 3),
+    (8, 20, 37, TILED_DEAD, h.WindowSpec(5, 3), 6, 3),
+    (8, 20, 37, TILED_DEAD, h.WindowSpec(19, 9), 6, 3),
 ]
 
 
@@ -272,8 +278,10 @@ class TestWindowedCoder:
         bands, height, width, dead, window, n_g, k = WINDOWED_CASES[case]
         rng = np.random.default_rng(100 + case)
         cube = windowed_cube(rng, bands, height, width, dead)
-        # The first case's D_t is too large to enumerate, so r_t is greedy.
-        D_t, D_g = unit_atoms(rng, bands, 40 if case == 0 else 5), unit_atoms(rng, bands, n_g)
+        # r_t is enumerated against 5 atoms in cases 1 and 2, greedy against
+        # 40 in the others.
+        D_t = unit_atoms(rng, bands, 5 if case in (1, 2) else 40)
+        D_g = unit_atoms(rng, bands, n_g)
         params = h.SolverParams(lam=lam, max_nonzeros=k)
         r_t, r_b = h.residual_maps(cube, D_t, D_g, window, params)
         assert r_b.values.tobytes() == per_pixel_background(cube, D_g, window, params).tobytes()
@@ -365,6 +373,47 @@ class TestWindowedCoder:
             h.residual_maps(cube, D, D, window, h.SolverParams())
         with pytest.raises(ValueError, match=message):
             std_map(cube, D, window, h.SolverParams())
+
+    def test_first_bad_pixel_in_a_later_tile_is_named(self):
+        # (18, 0) lies in the second tile column and (2, 5) in the first;
+        # the in-image neighbours of both are zero, so both rings hold only
+        # zero-norm pixels, and (18, 0) comes first in row-major order.
+        data = np.random.default_rng(307).random((4, 8, 20)) + 0.1
+        for x0, y0 in ((18, 0), (2, 5)):
+            for y in range(max(0, y0 - 1), y0 + 2):
+                for x in range(x0 - 1, min(20, x0 + 2)):
+                    if (x, y) != (x0, y0):
+                        data[:, y, x] = 0.0
+        cube = h.HsiCube(data)
+        D = unit_atoms(np.random.default_rng(308), 4, 3)
+        window = h.WindowSpec(3, 1)
+        with pytest.raises(ValueError, match=r"all local window pixels at \(2, 5\) have zero"):
+            h.local_background(cube, 2, 5, window)
+        message = r"all local window pixels at \(18, 0\) have zero norm"
+        with pytest.raises(ValueError, match=message):
+            h.residual_maps(cube, D, D, window, h.SolverParams())
+        with pytest.raises(ValueError, match=message):
+            std_map(cube, D, window, h.SolverParams())
+
+    def test_one_background_code_block_per_tile(self, monkeypatch):
+        # A 16x16 image is one tile; a 37x20 one is six, cut short on both
+        # axes.  Each tile's pixels are coded in one call, after D_t's one.
+        calls = []
+        real = detector.code_block
+
+        def counting(X, *args):
+            calls.append(X.shape[0])
+            return real(X, *args)
+
+        monkeypatch.setattr(detector, "code_block", counting)
+        rng = np.random.default_rng(309)
+        D_t, D_g = unit_atoms(rng, 6, 4), unit_atoms(rng, 6, 8)
+        params = h.SolverParams()
+        h.residual_maps(windowed_cube(rng, 6, 16, 16), D_t, D_g, h.WindowSpec(), params)
+        assert calls == [256, 256]
+        calls.clear()
+        h.residual_maps(windowed_cube(rng, 6, 20, 37), D_t, D_g, h.WindowSpec(), params)
+        assert calls == [740, 256, 256, 80, 64, 64, 20]
 
     def test_shared_block_checked_once(self):
         rng = np.random.default_rng(304)
