@@ -173,13 +173,6 @@ def cmd_compare(args) -> int:
     # Every map and AUC is computed before --out is created, so a failure
     # writes nothing.
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ValueError(f"no method given (choose from {','.join(METHODS)})")
-    for i, m in enumerate(methods):
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r} (choose from {','.join(METHODS)})")
-        if m in methods[:i]:
-            raise ValueError(f"method {m!r} is listed more than once")
     config = _config_from_args(
         args, preset_config(args.preset) if args.preset else DetectorConfig())
     if args.preset:

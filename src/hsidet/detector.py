@@ -223,6 +223,14 @@ METHODS: dict[str, Callable[[Fit], ScoreMap]] = {
 def detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig,
            methods: list[str]) -> dict[str, ScoreMap]:
     """Score maps of the named ``METHODS``, in the order given, all from one
-    ``Fit``: CEM runs once and each dictionary is learned at most once."""
+    ``Fit``: CEM runs once and each dictionary is learned at most once.  An
+    empty list, an unknown name or a repeated one raises ``ValueError``."""
+    if not methods:
+        raise ValueError(f"no method given (choose from {','.join(METHODS)})")
+    for i, m in enumerate(methods):
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r} (choose from {','.join(METHODS)})")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} is listed more than once")
     fit = Fit(cube, d, config)
     return {m: METHODS[m](fit) for m in methods}

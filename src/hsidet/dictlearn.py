@@ -47,6 +47,7 @@ class OdlParams:
             raise ValueError(f"sparsity must lie in [1, {MAX_NONZEROS}]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        SolverParams(lam=self.lam)  # the solver's own checks of lam
 
 
 def _as_sample_matrix(samples) -> np.ndarray:

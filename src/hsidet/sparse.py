@@ -4,14 +4,16 @@ Minimizes 0.5 * ||x - D a||^2 + lambda * ||a||_1 over coefficient vectors
 supported on at most ``max_nonzeros`` atoms.  Small dictionaries are solved
 exactly by sweeping every support; larger ones use greedy atom admission, as
 in the orthogonal matching pursuit of sparse-representation target detectors
-(Chen, Nasrabadi & Tran 2011).  Spectra coded against one dictionary admit
-atoms together, as one stack of rows with one correlation product per step,
-in the manner of Batch-OMP (Rubinstein, Zibulevsky & Elad 2008); a single
-spectrum is a stack of one row.  A per-row mask confines each row to its own
-columns of the matrix, such as a pixel's [global | dual-window ring] atoms
-in a shared pool.  Every fixed-support subproblem is solved exactly: by
-least squares when lambda is 0, else over all 2^size sign patterns of its
-stationarity system, size <= ``MAX_NONZEROS``.  Signs are unconstrained.
+(Chen, Nasrabadi & Tran 2011).  Spectra coded against dictionaries of one
+size are solved together, as one stack of rows, in the manner of Batch-OMP
+(Rubinstein, Zibulevsky & Elad 2008): the sweep makes one solve per support
+and greedy admission one correlation product and one solve per step; a
+single spectrum is a stack of one row.  A per-row mask confines each row to
+its own columns of the matrix, such as a pixel's [global | dual-window
+ring] atoms in a shared pool.  Every fixed-support subproblem is solved
+exactly: by least squares when lambda is 0, else over all 2^size sign
+patterns of its stationarity system, size <= ``MAX_NONZEROS``.  Signs are
+unconstrained.
 
 Ties go to the lowest column on both paths: the sweep keeps the first
 support at equal objectives, and greedy admission takes the lowest column
@@ -52,6 +54,8 @@ class SolverParams:
     max_nonzeros: int = 5     # hard support cap
 
     def __post_init__(self):
+        if not isinstance(self.lam, numbers.Real):
+            raise ValueError("lam must be a real number")
         if not (isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lam must be finite and >= 0")
         if not isinstance(self.max_nonzeros, numbers.Integral):
@@ -120,18 +124,20 @@ def _solve_support(Ds, X, xx, lam):
     would split the coefficients of near-duplicate atoms arbitrarily.
     Otherwise all sign patterns s of each row's stationarity system
     G a = Ds^T x - lam * s are solved in one batched linear solve over the
-    stack, and each row's consistent pattern with the best objective wins;
-    a stack holding a singular Gram matrix is solved row by row.
+    stack, and each row's consistent pattern with the best objective wins.
+    A stack holding a singular Gram matrix is solved row by row, and a row
+    whose own Gram matrix is singular by ``lstsq``.
 
     Returns (coefficients (n, size), objectives (n,)).
     """
     n, _, size = Ds.shape
     if lam == 0.0:
-        if n > 1:
-            return _row_by_row(Ds, X, xx, lam)
-        a, *_ = np.linalg.lstsq(Ds[0], X[0], rcond=None)
-        r = X[0] - Ds[0] @ a
-        return a[None], np.array([0.5 * float(r @ r)])
+        A, objs = np.empty((n, size)), np.empty(n)
+        for i in range(n):
+            A[i] = np.linalg.lstsq(Ds[i], X[i], rcond=None)[0]
+            r = X[i] - Ds[i] @ A[i]
+            objs[i] = 0.5 * float(r @ r)
+        return A, objs
     Dt = Ds.transpose(0, 2, 1)
     G = Dt @ Ds
     b = Dt @ X[:, :, None]                                      # (n, size, 1)
@@ -140,9 +146,12 @@ def _solve_support(Ds, X, xx, lam):
     try:
         A = np.linalg.solve(G, rhs)                             # (n, size, 2^size)
     except np.linalg.LinAlgError:
-        if n > 1:
-            return _row_by_row(Ds, X, xx, lam)
-        A = np.linalg.lstsq(G[0], rhs[0], rcond=None)[0][None]
+        A = np.empty_like(rhs)
+        for i in range(n):
+            try:
+                A[i] = np.linalg.solve(G[i], rhs[i])
+            except np.linalg.LinAlgError:
+                A[i] = np.linalg.lstsq(G[i], rhs[i], rcond=None)[0]
     # Objectives in data space: the Gram-space form cancels catastrophically
     # when a near-singular support yields huge coefficients, letting garbage
     # candidates win.
@@ -156,27 +165,26 @@ def _solve_support(Ds, X, xx, lam):
     return np.where(better[:, None], A[rows, :, j], 0.0), np.where(better, obj, 0.5 * xx)
 
 
-def _row_by_row(Ds, X, xx, lam):
-    solved = [_solve_support(Ds[i:i + 1], X[i:i + 1], xx[i:i + 1], lam) for i in range(len(X))]
-    return np.concatenate([a for a, _ in solved]), np.concatenate([o for _, o in solved])
-
-
-def _enumerate_supports(x, mat, atoms, params):
-    """Exact code of ``x`` over every support of at most ``max_nonzeros`` of
-    the columns ``atoms`` (increasing) of ``mat``, as its support (a tuple
-    of columns) and coefficients.  NumPy lays out a gathered block
-    ``mat[:, support]`` column by column whatever the layout of ``mat``, so
-    the code is the one the atoms' own dictionary gives, bit for bit."""
-    X = x[None]
+def _sweep(X, mat, cap, params, mask):
+    """Exact codes of the rows of X as a block, each over every support of
+    at most ``cap`` of its ``mask`` row's columns of ``mat``; all rows have
+    as many.  Each position set is one solve for the whole stack, and a row
+    keeps the first support at equal objectives.  ``_columns`` lays out a
+    row's block as ``mat[:, support]`` is, so a code is the one the row's
+    atoms as their own dictionary give, bit for bit."""
+    atoms = np.nonzero(mask)[1].reshape(X.shape[0], -1)
+    n, m = atoms.shape
+    support, coef = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))
     xx = _row_dots(X)
-    best_obj = 0.5 * float(xx[0])
-    best_support, best_a = (), np.zeros(0)
-    for size in range(1, min(params.max_nonzeros, len(atoms)) + 1):
-        for support in combinations(atoms, size):
-            a, obj = _solve_support(mat[:, support][None], X, xx, params.lam)
-            if obj[0] < best_obj - 1e-15:
-                best_obj, best_support, best_a = float(obj[0]), support, a[0]
-    return best_support, best_a
+    best = 0.5 * xx
+    for size in range(1, min(cap, m) + 1):
+        for p in combinations(range(m), size):
+            s = atoms[:, p]
+            a, obj = _solve_support(_columns(mat, s), X, xx, params.lam)
+            win = obj < best - 1e-15
+            best = np.where(win, obj, best)
+            support[win, :size], coef[win, :size] = s[win], a[win]
+    return support, coef
 
 
 def _greedy(X, mat, cap, params, mask):
@@ -231,19 +239,6 @@ def _greedy(X, mat, cap, params, mask):
     return out
 
 
-@lru_cache(maxsize=None)
-def _enumerated_size(max_nonzeros):
-    """Largest dictionary size whose supports of at most ``max_nonzeros``
-    atoms number at most ``_ENUM_LIMIT``."""
-    def supports(size):
-        return sum(comb(size, s) for s in range(1, min(max_nonzeros, size) + 1))
-
-    size = 0
-    while supports(size + 1) <= _ENUM_LIMIT:
-        size += 1
-    return size
-
-
 def code_block(X: np.ndarray, mat: np.ndarray, params: SolverParams,
                mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The codes ``sparse_codes`` gives the rows of ``X`` against ``mat``, as
@@ -256,21 +251,23 @@ def code_block(X: np.ndarray, mat: np.ndarray, params: SolverParams,
     support, coef = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))
     if mask is None:
         mask = np.broadcast_to(True, (n, n_atoms))
-    # A row's own dictionary is its mask row's atoms.  One small enough is
-    # swept exactly, support by support: greedy selection can land in local
-    # optima on coherent dictionaries, and at this size exactness is cheap.
-    # Every other row joins a stacked greedy pass.
-    enumerated = mask.sum(axis=1) <= _enumerated_size(params.max_nonzeros)
-    for i in np.flatnonzero(enumerated):
-        best, a = _enumerate_supports(X[i], mat, np.flatnonzero(mask[i]).tolist(), params)
-        support[i, :len(best)], coef[i, :len(best)] = best, a
     # Stack heights keep the correlation block and the largest sign-pattern
     # residual block near _STACK_ELEMENTS doubles each.
     rows = max(1, _STACK_ELEMENTS // max(n_atoms, mat.shape[0] << cap))
-    greedy = np.flatnonzero(~enumerated)
-    for start in range(0, greedy.size, rows):
-        i = greedy[start:start + rows]
-        support[i], coef[i] = _greedy(X[i], mat, cap, params, mask[i])
+    # A row's own dictionary is its mask row's atoms.  Rows with few enough
+    # of them are swept exactly, a stack of one atom count at a time, since
+    # greedy selection can land in local optima on coherent dictionaries.
+    # Supports grow with the atom count, so every row with more atoms than
+    # the largest swept count joins a stacked greedy pass.
+    counts = mask.sum(axis=1)
+    swept = [m for m in set(counts.tolist())
+             if sum(comb(m, t) for t in range(1, min(cap, m) + 1)) <= _ENUM_LIMIT]
+    paths = [(_sweep, counts == m) for m in swept] + [(_greedy, counts > max(swept, default=-1))]
+    for solve, chosen in paths:
+        i = np.flatnonzero(chosen)
+        for start in range(0, i.size, rows):
+            j = i[start:start + rows]
+            support[j], coef[j] = solve(X[j], mat, cap, params, mask[j])
     # Exact zeros are padding too; each row's atoms ascend.
     pad = coef == 0.0
     order = np.argsort(np.where(pad, n_atoms, support), axis=1)

@@ -49,6 +49,14 @@ def test_bad_value_is_rejected_naming_the_field(field, value):
     (h.OdlParams, {"n_atoms": 4, "sparsity": 3.0}, "sparsity must be an integer"),
     (h.OdlParams, {"n_atoms": 4, "seed": 1.5}, "seed must be an integer"),
     (h.OdlParams, {"n_atoms": 4, "seed": -1}, "seed must be >= 0"),
+    (h.SolverParams, {"lam": None}, "lam must be a real number"),
+    (h.SolverParams, {"lam": "0.1"}, "lam must be a real number"),
+    (h.SolverParams, {"lam": -1.0}, "lam must be finite and >= 0"),
+    (h.SolverParams, {"lam": math.nan}, "lam must be finite and >= 0"),
+    (h.OdlParams, {"n_atoms": 4, "lam": None}, "lam must be a real number"),
+    (h.OdlParams, {"n_atoms": 4, "lam": "0.1"}, "lam must be a real number"),
+    (h.OdlParams, {"n_atoms": 4, "lam": -1.0}, "lam must be finite and >= 0"),
+    (h.OdlParams, {"n_atoms": 4, "lam": math.inf}, "lam must be finite and >= 0"),
 ])
 def test_pipeline_parameters_reject_bad_counts_naming_the_field(cls, kwargs, message):
     # Caught at construction, not as a TypeError or a NumPy error mid-run.

@@ -466,6 +466,20 @@ class TestOneFit:
         assert len(fits) == 1
         assert len(cem_calls) == 1
 
+    @pytest.mark.parametrize("methods,message", [
+        ([], "no method given \\(choose from cem,ace,std,shr,wshr\\)"),
+        (["cem", "foo"], "unknown method 'foo' \\(choose from cem,ace,std,shr,wshr\\)"),
+        (["cem", "ace", "cem"], "method 'cem' is listed more than once"),
+    ])
+    def test_detect_rejects_a_bad_method_list_before_any_work(self, monkeypatch, methods, message):
+        def no_cem(*args):
+            raise AssertionError("CEM ran")
+
+        monkeypatch.setattr(predetect, "cem_detect", no_cem)
+        cube, mask, signature = tiny_scene(seed=6)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            h.detect(cube, signature, tiny_config(), methods)
+
     def test_five_methods_build_only_the_learned_dictionaries(self, monkeypatch):
         # The result of each of the two ODL runs: the initial draw is a plain
         # array, and the coder takes plain matrices, so no pool or mini-batch

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 import hsidet as h
 import hsidet.sparse as hsparse
-from hsidet.sparse import _ENUM_LIMIT, MAX_NONZEROS, _enumerate_supports
+from hsidet.sparse import _ENUM_LIMIT, MAX_NONZEROS
 
 
 def support_optimum(x, Ds, lam):
@@ -130,7 +130,8 @@ def relative_gaps(cases):
         cap = min(params.max_nonzeros, n)
         assert sum(math.comb(n, s) for s in range(1, cap + 1)) > _ENUM_LIMIT
         greedy = solver_objective(x, D, h.sparse_code(x, h.Dictionary(D), params), params.lam)
-        best_code = h.SparseCode(*_enumerate_supports(x, D, range(n), params), n)
+        support, coef = hsparse._sweep(x[None], D, cap, params, np.ones((1, n), dtype=bool))
+        best_code = h.SparseCode(support[0][support[0] >= 0], coef[0][support[0] >= 0], n)
         best = solver_objective(x, D, best_code, params.lam)
         assert best - 1e-12 <= greedy <= 0.5 * float(x @ x)
         gaps.append((greedy - best) / best)
@@ -298,15 +299,22 @@ class TestStackedCodes:
     def test_duplicated_atom_takes_the_singular_fallback(self, monkeypatch):
         # A large multiple of atom 0 leaves its duplicate, atom 1, with a
         # residual correlation of lam up to rounding, so about half of
-        # those rows try the singular support {0, 1}.
-        calls = []
-        row_by_row = hsparse._row_by_row
+        # those rows try the singular support {0, 1}.  A stacked solve that
+        # fails is followed by one solve per row of its stack.
+        calls = []  # per failed stacked solve: its rows, then the per-row solves after it
+        solve = np.linalg.solve
 
-        def counting(Ds, X, xx, lam):
-            calls.append(len(X))
-            return row_by_row(Ds, X, xx, lam)
+        def counting(G, rhs):
+            if G.ndim == 2 and calls:
+                calls[-1][1] += 1
+            try:
+                return solve(G, rhs)
+            except np.linalg.LinAlgError:
+                if G.ndim == 3:
+                    calls.append([len(G), 0])
+                raise
 
-        monkeypatch.setattr(hsparse, "_row_by_row", counting)
+        monkeypatch.setattr(np.linalg, "solve", counting)
         rng = np.random.default_rng(41)
         D = random_dictionary(rng, 20, 80)
         D[:, 1] = D[:, 0]
@@ -314,15 +322,37 @@ class TestStackedCodes:
         X[::2] = np.outer(rng.uniform(500, 2000, 20) * rng.choice((-1.0, 1.0), 20), D[:, 0])
         params = h.SolverParams(lam=0.1, max_nonzeros=3)
         stacked = h.sparse_codes(X, h.Dictionary(D), params)
-        assert any(n > 1 for n in calls)
+        assert any(rows > 1 and per_row == rows for rows, per_row in calls)
         assert_same_codes(stacked, codes_per_row(X, D, params))
 
     def test_small_dictionary_enumerates_each_row(self):
         rng = np.random.default_rng(44)
         D = random_dictionary(rng, 8, 8)
         X = mixed_rows(rng, D, 12)
-        params = h.SolverParams(lam=0.1, max_nonzeros=3)
-        assert_same_codes(h.sparse_codes(X, h.Dictionary(D), params), codes_per_row(X, D, params))
+        for lam in (0.1, 0.0):
+            params = h.SolverParams(lam=lam, max_nonzeros=3)
+            assert_same_codes(h.sparse_codes(X, h.Dictionary(D), params),
+                              codes_per_row(X, D, params))
+
+    def test_sweep_solves_each_support_once_for_the_whole_stack(self, monkeypatch):
+        # 64 rows against 5 atoms at a cap of 5: 31 supports, each one
+        # stacked solve, not one per row and support.
+        calls = []
+        solve_support = hsparse._solve_support
+
+        def counting(Ds, X, xx, lam):
+            calls.append(len(X))
+            return solve_support(Ds, X, xx, lam)
+
+        monkeypatch.setattr(hsparse, "_solve_support", counting)
+        rng = np.random.default_rng(45)
+        D = random_dictionary(rng, 8, 5)
+        X = mixed_rows(rng, D, 64)
+        params = h.SolverParams(lam=0.1, max_nonzeros=5)
+        stacked = h.sparse_codes(X, h.Dictionary(D), params)
+        assert calls == [64] * 31
+        monkeypatch.setattr(hsparse, "_solve_support", solve_support)
+        assert_same_codes(stacked, codes_per_row(X, D, params))
 
     def test_masked_pool_codes_each_row_against_its_own_atoms(self):
         # Rows draw 2 to about 40 of 60 pool atoms: below the cap, small
