@@ -27,6 +27,7 @@ from .detector import METHODS, detect
 from .hierdict import WindowSpec
 from .metrics import check_method_name, write_comparison
 from .metrics import compare as compare_maps
+from .predetect import SingularStatisticsError
 from .synth import PRESETS, generate
 
 log = logging.getLogger("hsidet")
@@ -96,6 +97,15 @@ def _load_inputs(cube_path: str, signature_path: str, mask_path: str | None = No
     return cube, signature, mask
 
 
+def _detect_file(cube_path: str, cube, signature, config, methods) -> dict:
+    """``detect`` on a cube loaded from ``cube_path``; singular statistics
+    name that file."""
+    try:
+        return detect(cube, signature, config, methods)
+    except SingularStatisticsError as exc:
+        raise SingularStatisticsError(f"{cube_path}: {exc}") from exc
+
+
 def _check_fits(path: str, shape: tuple, ref_path: str, ref_shape: tuple) -> None:
     if shape != ref_shape:
         raise hio.FormatError(f"{path}: (height, width) {shape} does not match "
@@ -130,7 +140,7 @@ def cmd_synth(args) -> int:
 def cmd_detect(args) -> int:
     config = _config_from_args(args, DetectorConfig())
     cube, signature, _ = _load_inputs(args.cube, args.signature)
-    smap = detect(cube, signature, config, [args.method])[args.method]
+    smap = _detect_file(args.cube, cube, signature, config, [args.method])[args.method]
     os.makedirs(args.out, exist_ok=True)
     base = os.path.join(args.out, args.method)
     hio.save_scoremap(smap, base)
@@ -181,7 +191,10 @@ def cmd_compare(args) -> int:
         cube, signature, mask = _load_inputs(args.cube, args.signature, args.mask)
 
     log.info("running %s", ",".join(methods))
-    maps = detect(cube, signature, config, methods)
+    if args.preset:
+        maps = detect(cube, signature, config, methods)
+    else:
+        maps = _detect_file(args.cube, cube, signature, config, methods)
     rows = compare_maps(list(maps.items()), mask)
     out = args.out
     os.makedirs(out, exist_ok=True)

@@ -8,8 +8,12 @@ adaptive cosine estimator: the squared cosine between x - mu and d - 0 in
 background-whitened coordinates.
 
 Both statistics are global: one filter / one covariance for the whole
-cube.  The correlation (rather than centered covariance) form of CEM is
-the classical convention.
+cube, each from one GEMM over every pixel.  The correlation (rather than
+centered covariance) form of CEM is the classical convention.  ACE keeps
+one centred copy of the pixels beside the cube and whitens and scores it
+one block of ``_ACE_ROWS`` pixels at a time, so the whitened cube is never
+whole; every score has the bytes of the whole-cube product at one BLAS
+thread.
 """
 
 from __future__ import annotations
@@ -21,21 +25,25 @@ from .sparse import _row_dots
 
 RIDGE_EPSILON = 1e-6       # ridge loading eps * trace/m applied when ill-conditioned
 _COND_LIMIT = 1e12
+_ACE_ROWS = 4096           # pixels per ACE whitening block; the whitened cube is never whole
 
 
 class SingularStatisticsError(np.linalg.LinAlgError):
     """Second-order statistics not invertible even after ridge loading."""
 
 
-def _regularized(mat: np.ndarray) -> np.ndarray:
-    """Return ``mat`` with ridge loading added if it is ill-conditioned."""
+def _regularized(mat: np.ndarray, label: str, shape: tuple) -> np.ndarray:
+    """Return ``mat`` with ridge loading added if it is ill-conditioned;
+    ``label`` names the statistic and ``shape`` the (pixels, bands) it came
+    from, for the error."""
     if np.linalg.cond(mat) <= _COND_LIMIT:
         return mat
     m = mat.shape[0]
     loaded = mat + (RIDGE_EPSILON * np.trace(mat) / m) * np.eye(m)
     cond = np.linalg.cond(loaded)
     if not cond <= 1e15:                        # NaN and inf fail too
-        raise SingularStatisticsError("statistics singular even after ridge loading")
+        raise SingularStatisticsError(
+            f"{label} of (pixels, bands) {shape} is singular even after ridge loading")
     return loaded
 
 
@@ -54,7 +62,7 @@ def cem_detect(cube: HsiCube, d: np.ndarray) -> ScoreMap:
     """Constrained energy minimization; score(d) = 1 by construction."""
     d = _check_signature(cube, d)
     X = cube.pixels()   # (N, bands)
-    R = _regularized(X.T @ X / X.shape[0])
+    R = _regularized(X.T @ X / X.shape[0], "CEM correlation matrix", X.shape)
     rinv_d = np.linalg.solve(R, d)
     w = rinv_d / float(d @ rinv_d)
     scores = X @ w
@@ -71,18 +79,26 @@ def ace_detect(cube: HsiCube, d: np.ndarray) -> ScoreMap:
     X = cube.pixels()
     mu = X.mean(axis=0)
     Xc = X - mu
-    sigma = _regularized(Xc.T @ Xc / X.shape[0])
+    sigma = _regularized(Xc.T @ Xc / X.shape[0], "ACE covariance", X.shape)
     # Whiten once with Sigma = L L^T: x^T Sigma^-1 y = (L^-1 x) . (L^-1 y),
     # so every pixel costs one row of a GEMM instead of a solve.
     try:
         l_inv = np.linalg.inv(np.linalg.cholesky(sigma))
     except np.linalg.LinAlgError as exc:
         raise SingularStatisticsError(f"covariance not positive definite: {exc}") from exc
-    Y = Xc @ l_inv.T
     dw = l_inv @ d
-    num = (Y @ dw) ** 2
-    den = float(dw @ dw) * _row_dots(Y)          # a sum of squares: never negative
-    scores = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    dd = float(dw @ dw)
+    # Whiten and score _ACE_ROWS pixels at a time, the remainder riding with
+    # the last block: a block of a few rows (a one-row product is a GEMV)
+    # would round differently from the rows of one whole-cube GEMM.
+    n = X.shape[0]
+    starts = range(0, max(n - _ACE_ROWS + 1, 1), _ACE_ROWS)
+    scores = np.zeros(n)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        Y = Xc[start:stop] @ l_inv.T
+        num = (Y @ dw) ** 2
+        den = dd * _row_dots(Y)                  # a sum of squares: never negative
+        np.divide(num, den, out=scores[start:stop], where=den > 0)
     return ScoreMap(scores.reshape(cube.height, cube.width))
 
 

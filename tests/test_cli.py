@@ -240,6 +240,25 @@ class TestMismatchedInputs:
         assert not out.exists()
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["detect", "compare"])
+    def test_singular_statistics_name_the_cube(self, tmp_path, capsys, command):
+        # A constant cube has a zero covariance, so ACE cannot whiten it.
+        cube = str(tmp_path / "flat.hdr")
+        h.save_cube(h.HsiCube(np.full((5, 4, 4), 0.5)), cube)
+        signature = str(tmp_path / "flat.sig")
+        h.save_signature(np.linspace(0.1, 0.5, 5), signature)
+        mask = str(tmp_path / "flat.mask")
+        h.save_mask(h.GroundTruthMask(np.eye(4, dtype=np.uint8)), mask)
+        out = tmp_path / "o"
+        args = (["detect", "--method", "ace"] if command == "detect"
+                else ["compare", "--mask", mask, "--methods", "ace"])
+        rc = main(args + ["--cube", cube, "--signature", signature, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cube}: ACE covariance of (pixels, bands) (16, 5) is singular "
+            "even after ridge loading\n")
+        assert not out.exists()
+
     def test_eval_map_that_the_mask_does_not_fit(self, tmp_path, capsys):
         paths = write_tiny_scene(str(tmp_path / "scene"))
         small = str(tmp_path / "small")

@@ -570,7 +570,7 @@ class TestPipeline:
 # Prints one digest per map of a five-method-style detect on a 100-band
 # scene.  CEM and ACE are left out: at 100 bands and more their Gram,
 # factorizations and whitening round differently at one and two BLAS
-# threads (ROADMAP item 2).
+# threads (ROADMAP item 4).
 _THREADED_DETECT = """
 import hashlib
 import hsidet as h

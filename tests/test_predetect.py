@@ -1,5 +1,11 @@
 """CEM / ACE detectors against dense linear-algebra oracles."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,7 +110,8 @@ class TestAce:
 
     def test_covariance_that_cholesky_rejects_is_singular(self, monkeypatch):
         # Indefinite statistics that pass the condition check must not score.
-        monkeypatch.setattr(predetect, "_regularized", lambda mat: np.diag([1.0, -1.0, 1.0]))
+        monkeypatch.setattr(predetect, "_regularized",
+                            lambda mat, label, shape: np.diag([1.0, -1.0, 1.0]))
         cube = make_cube(np.random.default_rng(0), bands=3)
         with pytest.raises(predetect.SingularStatisticsError):
             h.ace_detect(cube, np.ones(3))
@@ -130,6 +137,79 @@ class TestAce:
             assert np.allclose(h.ace_detect(cube, d).values.ravel(), expected, atol=1e-10)
 
 
+# Scores ACE on cubes of 60 bands, block by block and by the whole-cube
+# formula it replaced, in one interpreter; prints one line per cube:
+# name, byte-identical or not, and the largest relative difference.
+_BLOCKED_ACE = """
+import numpy as np
+import hsidet as h
+from hsidet import predetect
+from hsidet.sparse import _row_dots
+
+def whole_cube_ace(cube, d):
+    X = cube.pixels()
+    mu = X.mean(axis=0)
+    Xc = X - mu
+    sigma = predetect._regularized(Xc.T @ Xc / X.shape[0], "ACE covariance", X.shape)
+    l_inv = np.linalg.inv(np.linalg.cholesky(sigma))
+    Y = Xc @ l_inv.T
+    dw = l_inv @ d
+    num = (Y @ dw) ** 2
+    den = float(dw @ dw) * _row_dots(Y)
+    scores = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return scores.reshape(cube.height, cube.width)
+
+B = predetect._ACE_ROWS
+rng = np.random.default_rng(5)
+shapes = {"ragged": (85, 145), "one-row": (1, 2 * B + 1),
+          "whole-blocks": (128, 128), "one-block": (40, 40)}
+assert 85 * 145 == 3 * B + 37 and 128 * 128 == 4 * B
+for name, (height, width) in shapes.items():
+    cube = h.HsiCube(rng.random((60, height, width)) + 0.1)
+    d = rng.random(60) + 0.1
+    got, want = h.ace_detect(cube, d).values, whole_cube_ace(cube, d)
+    print(name, got.tobytes() == want.tobytes(), float(np.max(np.abs(got - want) / want)))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_blocked_ace_matches_the_whole_cube_formula(threads):
+    # The thread count must be set before NumPy loads, so each run is its
+    # own interpreter, and each compares within itself.
+    src = str(Path(h.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _BLOCKED_ACE], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    rows = {name: (same == "True", float(rel)) for name, same, rel in map(str.split, run.stdout.splitlines())}
+    assert list(rows) == ["ragged", "one-row", "whole-blocks", "one-block"]
+    # One BLAS thread: every pixel's bytes, whatever the block layout.
+    # More threads: the whole-cube GEMV splits its rows among the threads,
+    # at a row that is not a multiple of 4 when the pixel count is ragged,
+    # and rows at such a split round in the last bit differently from the
+    # same rows inside a block.  Whole blocks and single blocks stay exact.
+    for name, (same, rel) in rows.items():
+        if threads == "1" or name in ("whole-blocks", "one-block"):
+            assert same, (name, rel)
+        else:
+            assert rel < 1e-13, (name, rel)
+
+
+def test_ace_holds_one_centred_copy_beside_the_cube():
+    # 128x128 pixels are four whitening blocks; a whole whitened copy (the
+    # old formula) peaks at about 2.1 cubes.
+    rng = np.random.default_rng(2)
+    cube = h.HsiCube(rng.random((60, 128, 128)) + 0.1)
+    d = rng.random(60) + 0.1
+    tracemalloc.start()
+    try:
+        h.ace_detect(cube, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / cube.data.nbytes < 1.75
+
+
 class TestRidgeLoading:
     """Ill-conditioned statistics are ridge loaded; singular ones raise."""
 
@@ -142,8 +222,8 @@ class TestRidgeLoading:
         calls = []
         regularized = predetect._regularized
 
-        def spying(mat):
-            out = regularized(mat)
+        def spying(mat, label, shape):
+            out = regularized(mat, label, shape)
             calls.append(out - mat)
             return out
 
@@ -168,11 +248,13 @@ class TestRidgeLoading:
             assert np.allclose(scores.ravel(), ace_oracle(cube, d, added), rtol=0, atol=1e-10)
 
     def test_all_zero_cube_is_singular_for_cem(self):
-        with pytest.raises(predetect.SingularStatisticsError):
+        with pytest.raises(predetect.SingularStatisticsError,
+                           match=r"^CEM correlation matrix of \(pixels, bands\) \(4, 3\) is singular"):
             h.cem_detect(h.HsiCube(np.zeros((3, 2, 2))), np.ones(3))
 
     def test_constant_cube_is_singular_for_ace(self):
-        with pytest.raises(predetect.SingularStatisticsError):
+        with pytest.raises(predetect.SingularStatisticsError,
+                           match=r"^ACE covariance of \(pixels, bands\) \(4, 3\) is singular"):
             h.ace_detect(h.HsiCube(np.full((3, 2, 2), 0.5)), np.ones(3))
 
 
