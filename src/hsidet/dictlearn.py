@@ -5,7 +5,9 @@ current dictionary, the codes update accumulated sufficient statistics
 (A = sum a a^T, B = sum x a^T), and every atom is refreshed by block
 coordinate descent on those statistics, then renormalized to unit length.
 Atoms that are never selected across the whole run are replaced by the
-worst-reconstructed training sample.
+worst-reconstructed training sample.  Atoms are refreshed once per
+mini-batch (Mairal, Bach, Ponce & Sapiro 2010, JMLR, sec. 3.4) by a Python
+loop, so a batch holds max(32, k // 8) samples for k atoms: derived, not set.
 
 The surrogate objective tracked per epoch is the running average of
 0.5 * ||x - D a||^2 + lambda * ||a||_1 evaluated at coding time, each
@@ -29,20 +31,17 @@ class OdlParams:
     n_atoms: int          # at most; the count is capped at the nonzero samples
     lam: float = 0.1
     epochs: int = 5
-    batch_size: int = 32
     sparsity: int = 5     # solver support cap during coding, at most MAX_NONZEROS
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_atoms", "epochs", "batch_size", "sparsity", "seed"):
+        for name in ("n_atoms", "epochs", "sparsity", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not 1 <= self.sparsity <= MAX_NONZEROS:
             raise ValueError(f"sparsity must lie in [1, {MAX_NONZEROS}]")
         if self.seed < 0:
@@ -50,35 +49,31 @@ class OdlParams:
         SolverParams(lam=self.lam)  # the solver's own checks of lam
 
 
-def _as_sample_matrix(samples) -> np.ndarray:
-    """``samples`` as one C-contiguous float64 (n_samples, bands) stack."""
+def _as_sample_matrix(samples) -> tuple[np.ndarray, np.ndarray]:
+    """``samples`` as a C-contiguous float64 (n, bands) stack, and each row's norm sqrt(x @ x)."""
     X = np.ascontiguousarray(samples, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a nonempty (n_samples, bands) array")
     if not np.all(np.isfinite(X)):
         raise ValueError("training set contains non-finite values")
-    if np.all(np.linalg.norm(X, axis=1) == 0.0):
+    norms = np.sqrt(_row_dots(X))
+    if np.all(norms == 0.0):
         raise ValueError("training set contains only zero samples")
-    return X
+    return X, norms
 
 
 def init_dictionary(samples, n_atoms: int, seed: int) -> Dictionary:
     """Seed atoms: a without-replacement draw of at most ``n_atoms`` nonzero
     training samples, one atom per sample."""
-    return Dictionary(_initial_atoms(_as_sample_matrix(samples), n_atoms, seed))
+    return Dictionary(_initial_atoms(*_as_sample_matrix(samples), n_atoms, seed))
 
 
-def _initial_atoms(X: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:
-    """``init_dictionary``'s atoms as a fresh C-contiguous (bands, n_atoms)
-    array, drawn from a checked ``_as_sample_matrix`` stack."""
-    nonzero = X[np.linalg.norm(X, axis=1) > 0.0]
+def _initial_atoms(X: np.ndarray, norms: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:
+    """``init_dictionary``'s atoms, a fresh C-contiguous (bands, n_atoms) array."""
+    nonzero = np.flatnonzero(norms > 0.0)
     rng = np.random.default_rng(seed)
-    atoms = nonzero[rng.permutation(len(nonzero))[:n_atoms]]
-    # Norms are square roots of row dot products, as np.linalg.norm forms them.
-    norms = np.sqrt(_row_dots(atoms))
-    if np.any(norms == 0.0):
-        raise ValueError("zero-norm atom during initialization")
-    return np.ascontiguousarray((atoms / norms[:, None]).T)
+    picks = nonzero[rng.permutation(len(nonzero))[:n_atoms]]
+    return np.ascontiguousarray((X[picks] / norms[picks, None]).T)
 
 
 def _update_atoms(D, A, B, coupled) -> None:
@@ -116,15 +111,21 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
     rounding.  At the default and preset configs D_t is such a draw, the
     unit-norm CEM-selected pixels in draw order.
 
+    Otherwise an epoch codes mini-batches of max(32, k // 8) samples for the
+    k atoms drawn, a size derived and not set: atoms are refreshed once per
+    mini-batch (Mairal et al. 2010, sec. 3.4), by a Python loop over the
+    coupled ones, so a batch that grows with k bounds that cost per sample.
+
     If ``objective_trace`` is a list it receives the mean surrogate objective
     of each epoch; the objective is only computed then.
     """
-    X = _as_sample_matrix(samples)
+    X, norms = _as_sample_matrix(samples)
     n, m = X.shape
-    D = _initial_atoms(X, params.n_atoms, params.seed)
+    D = _initial_atoms(X, norms, params.n_atoms, params.seed)
     k = D.shape[1]
-    if k == np.count_nonzero(np.linalg.norm(X, axis=1) > 0.0):
+    if k == np.count_nonzero(norms):
         return Dictionary(D)
+    size = max(32, k // 8)
     rng = np.random.default_rng(params.seed + 1)
     solver = SolverParams(lam=params.lam, max_nonzeros=min(params.sparsity, k))
 
@@ -136,8 +137,8 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
     for _ in range(params.epochs):
         order = rng.permutation(n)
         epoch_obj = 0.0
-        for start in range(0, n, params.batch_size):
-            batch = order[start:start + params.batch_size]
+        for start in range(0, n, size):
+            batch = order[start:start + size]
             # D only changes after the whole batch is coded.
             support, coef = code_block(X[batch], D, solver)
             atoms = support >= 0
@@ -163,7 +164,6 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
         # way to the worst-reconstructed nonzero one.
         residuals = block_residuals(X, D, *code_block(X, D, solver))
         worst = np.argsort(-residuals)
-        norms = np.sqrt(_row_dots(X))
         picks = worst[:dead.size]
         picks[norms[picks] == 0.0] = worst[np.argmax(norms[worst] > 0.0)]
         D[:, dead] = (X[picks] / norms[picks, None]).T

@@ -45,7 +45,7 @@ def test_bad_value_is_rejected_naming_the_field(field, value):
     (h.SolverParams, {"max_nonzeros": 2.0}, "max_nonzeros must be an integer"),
     (h.OdlParams, {"n_atoms": 2.5}, "n_atoms must be an integer"),
     (h.OdlParams, {"n_atoms": 4, "epochs": 2.0}, "epochs must be an integer"),
-    (h.OdlParams, {"n_atoms": 4, "batch_size": 8.0}, "batch_size must be an integer"),
+    (h.OdlParams, {"n_atoms": 0}, "n_atoms must be >= 1"),
     (h.OdlParams, {"n_atoms": 4, "sparsity": 3.0}, "sparsity must be an integer"),
     (h.OdlParams, {"n_atoms": 4, "seed": 1.5}, "seed must be an integer"),
     (h.OdlParams, {"n_atoms": 4, "seed": -1}, "seed must be >= 0"),

@@ -34,15 +34,16 @@ def dense_outer_odl(samples, params):
         return h.Dictionary(D), [], 0
     rng = np.random.default_rng(params.seed + 1)
     solver = h.SolverParams(lam=params.lam, max_nonzeros=min(params.sparsity, k))
+    size = max(32, k // 8)
     A, B = np.zeros((k, k)), np.zeros((m, k))
     used = np.zeros(k, dtype=bool)
     trace = []
     for _ in range(params.epochs):
         order = rng.permutation(n)
         epoch_obj = 0.0
-        for start in range(0, n, params.batch_size):
+        for start in range(0, n, size):
             codes, terms = [], []
-            for i in order[start:start + params.batch_size]:
+            for i in order[start:start + size]:
                 code = h.sparse_code(X[i], h.Dictionary(D), solver)
                 codes.append((X[i], code.dense()))
                 r = h.residual_norm(X[i], h.Dictionary(D), code)
@@ -76,9 +77,9 @@ def dense_outer_odl(samples, params):
 
 class TestOdlLearn:
     @pytest.mark.parametrize("n_samples,bands,n_atoms,lam", [
-        (12, 20, 11, 0.1),   # one sample drawn twice: a tied atom dies
-        (60, 20, 12, 0.05),  # greedy coding path, codes of several atoms
-        (30, 8, 6, 0.0),     # exact enumeration path, plain least squares
+        (70, 20, 69, 0.1),   # one sample drawn twice: a tied atom dies
+        (80, 20, 12, 0.05),  # greedy coding path, codes of several atoms
+        (75, 8, 6, 0.0),     # exact enumeration path, plain least squares
     ])
     def test_matches_dense_outer_reference_bit_exact(self, n_samples, bands, n_atoms, lam):
         rng = np.random.default_rng(n_atoms)
@@ -86,7 +87,8 @@ class TestOdlLearn:
         if n_atoms == n_samples - 1:
             # Duplicate atoms tie, the lower column wins and the other dies.
             X[1] = X[0]
-        params = h.OdlParams(n_atoms=n_atoms, lam=lam, epochs=3, batch_size=8, seed=4)
+        # Batches of 32 samples, the last one short.
+        params = h.OdlParams(n_atoms=n_atoms, lam=lam, epochs=3, seed=4)
         trace = []
         D = h.odl_learn(X, params, objective_trace=trace)
         want, want_trace, dead = dense_outer_odl(X, params)
@@ -148,8 +150,8 @@ class TestOdlLearn:
 
     def test_trace_does_not_change_the_atoms(self):
         rng = np.random.default_rng(5)
-        X = rng.normal(size=(40, 8))
-        params = h.OdlParams(n_atoms=6, epochs=3, batch_size=8, seed=2)
+        X = rng.normal(size=(70, 8))
+        params = h.OdlParams(n_atoms=6, epochs=3, seed=2)
         D = h.odl_learn(X, params)
         D_traced = h.odl_learn(X, params, objective_trace=[])
         assert D.columns.tobytes() == D_traced.columns.tobytes()
@@ -233,12 +235,20 @@ class TestStackedOdl:
 
         monkeypatch.setattr(dictlearn, "code_block", counting)
         rng = np.random.default_rng(9)
-        X = rng.normal(size=(20, 10))
-        X[1] = X[0]  # its two atoms tie, so one of them dies
-        h.odl_learn(X, h.OdlParams(n_atoms=19, epochs=3, batch_size=8, seed=1))
-        # three epochs of batches of 8, 8 and 4 samples, then one call that
-        # codes every sample to rank the replacements of dead atoms
-        assert calls == [8, 8, 4] * 3 + [20]
+        # A batch holds max(32, k // 8) samples for k atoms: 32 up to 263
+        # atoms, 125 at 1000.
+        for n, n_atoms, epochs, want in [
+            # three epochs of batches of 32, 32 and 6 samples, then one call
+            # that codes every sample to rank the replacements of dead atoms
+            (70, 69, 3, [32, 32, 6] * 3 + [70]),
+            (300, 263, 1, [32] * 9 + [12]),
+            (1100, 1000, 1, [125] * 8 + [100]),
+        ]:
+            X = rng.normal(size=(n, 10))
+            X[1] = X[0]  # at 69 atoms the two tie, and one of them dies
+            calls.clear()
+            h.odl_learn(X, h.OdlParams(n_atoms=n_atoms, epochs=epochs, seed=1))
+            assert calls == want
 
     def test_a_draw_of_every_sample_is_the_dictionary(self, monkeypatch):
         # Each sample would code as its own atom alone, and the refresh would
@@ -255,7 +265,7 @@ class TestStackedOdl:
         X = np.random.default_rng(14).normal(size=(12, 10))
         X[3] = 0.0
         trace = []
-        D = h.odl_learn(X, h.OdlParams(n_atoms=30, epochs=3, batch_size=8, seed=2),
+        D = h.odl_learn(X, h.OdlParams(n_atoms=30, epochs=3, seed=2),
                         objective_trace=trace)
         assert calls == [] and trace == []
         assert D.n_atoms == 11
@@ -272,11 +282,11 @@ class TestStackedOdl:
             return code_block(X, D, params)
 
         monkeypatch.setattr(dictlearn, "code_block", counting)
-        X = np.random.default_rng(9).normal(size=(20, 10))
+        X = np.random.default_rng(9).normal(size=(70, 10))
         X[1] = X[0]
-        params = h.OdlParams(n_atoms=19, epochs=3, batch_size=8, seed=1)
+        params = h.OdlParams(n_atoms=69, epochs=3, seed=1)
         learned = [h.odl_learn(rows, params) for rows in (X, np.asfortranarray(X))]
-        assert calls[9] == calls[-1] == 20
+        assert calls[9] == calls[-1] == 70
         assert learned[0].columns.tobytes() == learned[1].columns.tobytes()
 
     def test_atom_update_matches_sequential_pass(self):
