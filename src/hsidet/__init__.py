@@ -26,11 +26,11 @@ from .detector import (
     std_detect,
     wshr_detect,
 )
-from .dictlearn import OdlParams, init_dictionary, odl_learn
+from .dictlearn import OdlParams, odl_learn
 from .hierdict import WindowSpec, local_background, normalize_atoms
 from .metrics import RocCurve, auc, compare, roc, write_comparison
 from .predetect import ace_detect, cem_detect, select_training_sets
-from .sparse import SolverParams, SparseCode, residual_norm, sparse_code, sparse_codes
+from .sparse import SolverParams, SparseCode, residual_norm, sparse_code
 from .synth import PRESETS, SceneSpec, generate
 
 __version__ = "0.1.0"

@@ -21,13 +21,14 @@ import os
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from . import cube as hio
 from .config import DetectorConfig, preset_config
-from .detector import METHODS, detect
+from .detector import METHODS, check_methods, detect
 from .hierdict import WindowSpec
 from .metrics import check_method_name, write_comparison
 from .metrics import compare as compare_maps
-from .predetect import SingularStatisticsError
 from .synth import PRESETS, generate
 
 log = logging.getLogger("hsidet")
@@ -98,12 +99,15 @@ def _load_inputs(cube_path: str, signature_path: str, mask_path: str | None = No
 
 
 def _detect_file(cube_path: str, cube, signature, config, methods) -> dict:
-    """``detect`` on a cube loaded from ``cube_path``; singular statistics
-    name that file."""
+    """``detect`` on a cube loaded from ``cube_path``.  A stage's
+    ``ValueError`` or ``LinAlgError`` is raised again as the same type with
+    that path in front; the method list is checked first, so its errors do
+    not name the cube."""
+    check_methods(methods)
     try:
         return detect(cube, signature, config, methods)
-    except SingularStatisticsError as exc:
-        raise SingularStatisticsError(f"{cube_path}: {exc}") from exc
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise type(exc)(f"{cube_path}: {exc}") from exc
 
 
 def _check_fits(path: str, shape: tuple, ref_path: str, ref_shape: tuple) -> None:

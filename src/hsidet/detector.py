@@ -220,11 +220,9 @@ METHODS: dict[str, Callable[[Fit], ScoreMap]] = {
 }
 
 
-def detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig,
-           methods: list[str]) -> dict[str, ScoreMap]:
-    """Score maps of the named ``METHODS``, in the order given, all from one
-    ``Fit``: CEM runs once and each dictionary is learned at most once.  An
-    empty list, an unknown name or a repeated one raises ``ValueError``."""
+def check_methods(methods: list[str]) -> None:
+    """Reject an empty list, an unknown ``METHODS`` name or a repeated one
+    by ``ValueError``."""
     if not methods:
         raise ValueError(f"no method given (choose from {','.join(METHODS)})")
     for i, m in enumerate(methods):
@@ -232,5 +230,13 @@ def detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig,
             raise ValueError(f"unknown method {m!r} (choose from {','.join(METHODS)})")
         if m in methods[:i]:
             raise ValueError(f"method {m!r} is listed more than once")
+
+
+def detect(cube: HsiCube, d: np.ndarray, config: DetectorConfig,
+           methods: list[str]) -> dict[str, ScoreMap]:
+    """Score maps of the named ``METHODS``, in the order given, all from one
+    ``Fit``: CEM runs once and each dictionary is learned at most once.  The
+    list is checked first (``check_methods``)."""
+    check_methods(methods)
     fit = Fit(cube, d, config)
     return {m: METHODS[m](fit) for m in methods}

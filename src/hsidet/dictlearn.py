@@ -62,14 +62,10 @@ def _as_sample_matrix(samples) -> tuple[np.ndarray, np.ndarray]:
     return X, norms
 
 
-def init_dictionary(samples, n_atoms: int, seed: int) -> Dictionary:
-    """Seed atoms: a without-replacement draw of at most ``n_atoms`` nonzero
-    training samples, one atom per sample."""
-    return Dictionary(_initial_atoms(*_as_sample_matrix(samples), n_atoms, seed))
-
-
 def _initial_atoms(X: np.ndarray, norms: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:
-    """``init_dictionary``'s atoms, a fresh C-contiguous (bands, n_atoms) array."""
+    """Seed atoms: a without-replacement draw of at most ``n_atoms`` nonzero
+    rows of X (norms their norms), one unit-norm atom per row, as a fresh
+    C-contiguous (bands, atoms) array."""
     nonzero = np.flatnonzero(norms > 0.0)
     rng = np.random.default_rng(seed)
     picks = nonzero[rng.permutation(len(nonzero))[:n_atoms]]

@@ -21,13 +21,14 @@ whose correlation is within ``_TIE_RTOL`` of the row's largest.  A
 dictionary can hold one spectrum twice (a learned atom and the pixel it came
 from); this rule, not rounding, picks the copy a code uses.
 
-A stack's codes are one block (``code_block``): (n, cap) atom indices, each
-row's ascending and then -1 padding, and (n, cap) coefficients, 0.0 at the
-padding, which an exact-zero coefficient joins.  ``code_block`` checks
-nothing: its callers pass a C-contiguous, finite float64 stack and a plain
-matrix, so a code depends on values, not layout.  The pipeline forms every
-residual from a block with ``block_residuals``; only the public
-``sparse_code`` and ``sparse_codes`` build ``SparseCode``s.
+A stack's codes are one block (``code_block``, the one stacked entry):
+(n, cap) atom indices, each row's ascending and then -1 padding, and (n,
+cap) coefficients, 0.0 at the padding, which an exact-zero coefficient
+joins.  ``code_block`` checks nothing: its callers pass a C-contiguous,
+finite float64 stack and a plain matrix, so a code depends on values, not
+layout.  The pipeline forms every residual from a block with
+``block_residuals``; only the public ``sparse_code``, which checks its one
+spectrum and codes it as a stack of one row, builds a ``SparseCode``.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ class SparseCode:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "coefficients", coef)
 
-    @property
-    def n_nonzeros(self) -> int:
-        return int(np.count_nonzero(self.coefficients))
-
     def dense(self) -> np.ndarray:
         out = np.zeros(self.dictionary_atoms)
         out[self.indices] = self.coefficients
@@ -115,10 +112,9 @@ def _columns(mat, supports):
     return np.ascontiguousarray(mat.T[supports]).transpose(0, 2, 1)
 
 
-def _solve_support(Ds, X, xx, lam):
+def _solve_support(Ds, X, lam):
     """Exact minimizers of a stack of L1 subproblems: row i of X (n, bands)
-    restricted to the atoms in Ds[i] (n, bands, size); xx holds the rows'
-    squared norms.
+    restricted to the atoms in Ds[i] (n, bands, size).
 
     lam = 0 is least squares by ``lstsq``, row by row: normal equations
     would split the coefficients of near-duplicate atoms arbitrarily.
@@ -126,7 +122,9 @@ def _solve_support(Ds, X, xx, lam):
     G a = Ds^T x - lam * s are solved in one batched linear solve over the
     stack, and each row's consistent pattern with the best objective wins.
     A stack holding a singular Gram matrix is solved row by row, and a row
-    whose own Gram matrix is singular by ``lstsq``.
+    whose own Gram matrix is singular by ``lstsq``.  The zero code is no
+    candidate: callers keep a support only when its objective is below the
+    row's best so far, which starts at the zero code's 0.5 ||x||^2.
 
     Returns (coefficients (n, size), objectives (n,)).
     """
@@ -160,9 +158,7 @@ def _solve_support(Ds, X, xx, lam):
     objs[~((A * signs).min(axis=1) >= -1e-12)] = np.inf        # inconsistent signs
     j = objs.argmin(axis=1)
     rows = np.arange(n)
-    obj = objs[rows, j]
-    better = obj < 0.5 * xx                     # else the zero code wins
-    return np.where(better[:, None], A[rows, :, j], 0.0), np.where(better, obj, 0.5 * xx)
+    return A[rows, :, j], objs[rows, j]
 
 
 def _sweep(X, mat, cap, params, mask):
@@ -175,12 +171,11 @@ def _sweep(X, mat, cap, params, mask):
     atoms = np.nonzero(mask)[1].reshape(X.shape[0], -1)
     n, m = atoms.shape
     support, coef = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))
-    xx = _row_dots(X)
-    best = 0.5 * xx
+    best = 0.5 * _row_dots(X)
     for size in range(1, min(cap, m) + 1):
         for p in combinations(range(m), size):
             s = atoms[:, p]
-            a, obj = _solve_support(_columns(mat, s), X, xx, params.lam)
+            a, obj = _solve_support(_columns(mat, s), X, params.lam)
             win = obj < best - 1e-15
             best = np.where(win, obj, best)
             support[win, :size], coef[win, :size] = s[win], a[win]
@@ -204,11 +199,10 @@ def _greedy(X, mat, cap, params, mask):
     lam = params.lam
     out = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))
     # State of the rows still admitting atoms, compacted as rows stop: their
-    # indices, spectra, atom masks, squared norms, objectives, supports (in
-    # admission order), coefficients and support columns.
+    # indices, spectra, atom masks, objectives, supports (in admission
+    # order), coefficients and support columns.
     live, Xl, M = np.arange(n), X, mask
-    xx = _row_dots(X)
-    best = 0.5 * xx
+    best = 0.5 * _row_dots(X)
     support, coef, Ds = np.zeros((n, 0), dtype=np.intp), np.zeros((n, 0)), None
     for step in range(cap):
         R = Xl - (Ds @ coef[:, :, None])[:, :, 0] if step else Xl
@@ -222,18 +216,18 @@ def _greedy(X, mat, cap, params, mask):
         if not grow.all():
             if not grow.any():
                 break
-            live, Xl, M, xx, best, support, coef, j = (
-                v[grow] for v in (live, Xl, M, xx, best, support, coef, j))
+            live, Xl, M, best, support, coef, j = (
+                v[grow] for v in (live, Xl, M, best, support, coef, j))
             grow = grow[grow]
         trial = np.concatenate((support, j[:, None]), axis=1)
         Ds = _columns(mat, trial)
-        a, obj = _solve_support(Ds, Xl, xx, lam)
+        a, obj = _solve_support(Ds, Xl, lam)
         accept = grow & (obj < best - 1e-15)
         if not accept.any():
             break
         if not accept.all():
-            live, Xl, M, xx, trial, a, obj, Ds = (
-                v[accept] for v in (live, Xl, M, xx, trial, a, obj, Ds))
+            live, Xl, M, trial, a, obj, Ds = (
+                v[accept] for v in (live, Xl, M, trial, a, obj, Ds))
         support, coef, best = trial, a, obj
         out[0][live, :step + 1], out[1][live, :step + 1] = support, coef
     return out
@@ -241,9 +235,10 @@ def _greedy(X, mat, cap, params, mask):
 
 def code_block(X: np.ndarray, mat: np.ndarray, params: SolverParams,
                mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The codes ``sparse_codes`` gives the rows of ``X`` against ``mat``, as
-    one block.  ``X`` is a C-contiguous, finite float64 (n, bands) stack and
-    ``mat`` a (bands, atoms) array; neither is checked here.  A boolean (n,
+    """The codes of the rows of ``X`` against ``mat``, as one block, each the
+    code ``sparse_code`` gives its row alone.  ``X`` is a C-contiguous, finite
+    float64 (n, bands) stack and ``mat`` a (bands, atoms) array; neither is
+    checked here.  A boolean (n,
     atoms) ``mask`` codes row i against ``mat[:, mask[i]]``, in column order,
     with indices that count ``mat``'s columns."""
     n, n_atoms = X.shape[0], mat.shape[1]
@@ -277,36 +272,32 @@ def code_block(X: np.ndarray, mat: np.ndarray, params: SolverParams,
 
 def sparse_code(x: np.ndarray, D: Dictionary, params: SolverParams) -> SparseCode:
     """Solve for the capped-support L1 code of ``x`` against ``D``; the
-    support never exceeds ``params.max_nonzeros``."""
-    return sparse_codes(np.asarray(x, dtype=np.float64)[None], D, params)[0]
-
-
-def sparse_codes(X: np.ndarray, D: Dictionary, params: SolverParams) -> list[SparseCode]:
-    """Codes of the rows of ``X`` (n_spectra, bands) against one dictionary,
-    computed together; each is the code ``sparse_code`` gives its row.
-    ``X`` is copied to one C-contiguous float64 stack first, so the codes
-    depend on its values, not its layout."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("spectra must be a 2-D (n_spectra, bands) array")
-    if not np.all(np.isfinite(X)):
+    support never exceeds ``params.max_nonzeros``.  ``x`` is copied to a
+    contiguous float64 spectrum first, so its code depends on its values,
+    not its layout."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape != (D.bands,):
+        raise ValueError(f"spectrum shape {x.shape} does not match dictionary bands {D.bands}")
+    if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input spectrum")
-    if X.shape[1] != D.bands:
-        raise ValueError(f"spectrum length {X.shape[1]} does not match dictionary bands {D.bands}")
-    support, coef = code_block(X, D.columns, params)
-    return [SparseCode(s[s >= 0], c[s >= 0], D.n_atoms) for s, c in zip(support, coef)]
+    (support,), (coef,) = code_block(x[None], D.columns, params)
+    return SparseCode(support[support >= 0], coef[support >= 0], D.n_atoms)
 
 
 def block_residuals(X, mat, support, coef) -> np.ndarray:
     """Norms of x - mat[:, s] @ c for the rows x of X, s a row's ``support``
     up to its first -1 (zero coefficients included) and c its ``coef``.  Rows
     of one support size are formed together, each bit for bit as
-    ``residual_norm`` forms it."""
+    ``residual_norm`` forms it, in stacks whose gathered columns hold about
+    ``_STACK_ELEMENTS`` doubles: beyond the copy of X, memory stays bounded."""
     R = np.array(X, dtype=np.float64, order="C")  # unit-stride rows, as residual_norm's r
     counts = (support >= 0).sum(axis=1)
     for size in set(counts.tolist()) - {0}:
         rows = np.flatnonzero(counts == size)
-        R[rows] -= (_columns(mat, support[rows, :size]) @ coef[rows, :size, None])[:, :, 0]
+        step = max(1, _STACK_ELEMENTS // (mat.shape[0] * size))
+        for start in range(0, rows.size, step):
+            i = rows[start:start + step]
+            R[i] -= (_columns(mat, support[i, :size]) @ coef[i, :size, None])[:, :, 0]
     return np.sqrt(_row_dots(R))
 
 

@@ -259,6 +259,25 @@ class TestMismatchedInputs:
             "even after ridge loading\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["detect", "compare"])
+    def test_pipeline_errors_name_the_cube(self, tmp_path, capsys, command):
+        # A 3x3 all-zero corner leaves pixel (0, 0) a 5/3 window ring of
+        # zero-norm pixels only, which W-SHR cannot code against.
+        paths = write_tiny_scene(str(tmp_path / "scene"))
+        cube = h.load_cube(paths["cube"])
+        data = cube.data.copy()
+        data[:, :3, :3] = 0.0
+        h.save_cube(h.HsiCube(data), paths["cube"])
+        out = tmp_path / "o"
+        args = (["detect", "--method", "wshr"] if command == "detect"
+                else ["compare", "--mask", paths["mask"], "--methods", "wshr"])
+        rc = main(args + ["--cube", paths["cube"], "--signature", paths["signature"],
+                          "--out", str(out), *TINY_FLAGS, "--iwr", "3"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {paths['cube']}: all local window pixels at (0, 0) have zero norm\n")
+        assert not out.exists()
+
     def test_eval_map_that_the_mask_does_not_fit(self, tmp_path, capsys):
         paths = write_tiny_scene(str(tmp_path / "scene"))
         small = str(tmp_path / "small")

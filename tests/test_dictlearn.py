@@ -22,13 +22,19 @@ def subspace_samples(rng, n=60, bands=10, dim=3):
     return basis, coef @ basis.T
 
 
+def initial_dictionary(samples, n_atoms, seed):
+    """The seed atoms ``odl_learn`` starts from, as a dictionary."""
+    return h.Dictionary(dictlearn._initial_atoms(*dictlearn._as_sample_matrix(samples),
+                                                 n_atoms, seed))
+
+
 def dense_outer_odl(samples, params):
     """ODL with dense rank-one statistics updates and a fresh dictionary per
     coding call.  Returns (dictionary, per-epoch objectives, dead atoms); a
     draw of every nonzero sample is returned as drawn."""
     X = np.asarray(samples, dtype=np.float64)
     n, m = X.shape
-    D = h.init_dictionary(X, params.n_atoms, params.seed).columns.copy()
+    D = initial_dictionary(X, params.n_atoms, params.seed).columns.copy()
     k = D.shape[1]
     if k == np.count_nonzero(np.linalg.norm(X, axis=1)):
         return h.Dictionary(D), [], 0
@@ -136,7 +142,7 @@ class TestOdlLearn:
                     total += 0.5 * float(r @ r) + 0.1 * float(np.abs(a).sum())
                 return total / X.shape[0]
 
-            D0 = h.init_dictionary(X, 5, seed)
+            D0 = initial_dictionary(X, 5, seed)
             D = h.odl_learn(X, params)
             assert mean_obj(D) <= mean_obj(D0) + 1e-9
 
@@ -269,7 +275,7 @@ class TestStackedOdl:
                         objective_trace=trace)
         assert calls == [] and trace == []
         assert D.n_atoms == 11
-        assert D.columns.tobytes() == h.init_dictionary(X, 30, 2).columns.tobytes()
+        assert D.columns.tobytes() == initial_dictionary(X, 30, 2).columns.tobytes()
 
     def test_sample_layout_does_not_change_the_atoms(self, monkeypatch):
         # A repeated sample drawn twice leaves a dead atom, so the dead-atom
@@ -328,7 +334,7 @@ class TestInitDictionary:
     def test_atoms_drawn_from_samples(self):
         rng = np.random.default_rng(7)
         X = rng.random((20, 6)) + 0.1
-        D = h.init_dictionary(X, 5, seed=0)
+        D = initial_dictionary(X, 5, seed=0)
         normed = X / np.linalg.norm(X, axis=1, keepdims=True)
         for j in range(5):
             assert np.any(np.all(np.isclose(normed, D.columns[:, j], atol=1e-12), axis=1))
@@ -338,7 +344,7 @@ class TestInitDictionary:
         for n, bands, n_atoms, kept in ((20, 6, 5, 5), (7, 30, 40, 6), (3, 60, 1000, 2)):
             X = rng.normal(size=(n, bands)) * rng.uniform(0.01, 100.0)
             X[0] = 0.0
-            D = h.init_dictionary(X, n_atoms, seed=n)
+            D = initial_dictionary(X, n_atoms, seed=n)
             assert D.n_atoms == kept
             assert D.columns.flags.c_contiguous
             assert D.columns.tobytes() == init_one_atom_at_a_time(X, n_atoms, n).tobytes()
@@ -347,8 +353,8 @@ class TestInitDictionary:
         rng = np.random.default_rng(8)
         X = rng.random((20, 6)) + 0.1
         assert np.array_equal(
-            h.init_dictionary(X, 5, seed=3).columns,
-            h.init_dictionary(X, 5, seed=3).columns,
+            initial_dictionary(X, 5, seed=3).columns,
+            initial_dictionary(X, 5, seed=3).columns,
         )
 
 
@@ -427,7 +433,7 @@ class TestLearnGlobalDictionaries:
         cube, _, signature = h.generate(h.PRESETS["sparse-targets"])
         config = h.preset_config("sparse-targets")
         fit = h.Fit(cube, signature, config)
-        want = h.init_dictionary(fit.training_sets[0], 10, config.seed)
+        want = initial_dictionary(fit.training_sets[0], 10, config.seed)
         assert fit.D_t.columns.tobytes() == want.columns.tobytes()
 
     def test_default_atom_counts(self):

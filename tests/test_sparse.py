@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestSparseCode:
     def test_zero_input_gives_zero_code(self):
         D = random_dictionary(np.random.default_rng(1), 6, 4)
         code = h.sparse_code(np.zeros(6), h.Dictionary(D), h.SolverParams())
-        assert code.n_nonzeros == 0
+        assert np.count_nonzero(code.coefficients) == 0
 
     def test_nonfinite_input_rejected(self):
         D = random_dictionary(np.random.default_rng(2), 4, 3)
@@ -92,7 +93,7 @@ class TestSparseCode:
         D = random_dictionary(rng, 20, 300)
         x = rng.normal(size=20)
         code = h.sparse_code(x, h.Dictionary(D), h.SolverParams(lam=0.05, max_nonzeros=4))
-        assert code.n_nonzeros <= 4
+        assert np.count_nonzero(code.coefficients) <= 4
 
     def test_residual_never_exceeds_input_norm(self):
         rng = np.random.default_rng(6)
@@ -206,9 +207,12 @@ def codes_per_row(X, D, params):
     return [h.sparse_code(x, h.Dictionary(D), params) for x in X]
 
 
-def pool_codes(X, D, params, mask):
+def block_codes(X, D, params, mask=None):
     """``sparse.code_block``'s codes of the rows of X, each against its mask
-    row's columns of the pool D, as ``SparseCode``s counting D's columns."""
+    row's columns of the pool D (all of them by default), as ``SparseCode``s
+    counting D's columns.  X is first copied to the C-contiguous float64
+    stack ``code_block``'s callers pass."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     support, coef = hsparse.code_block(X, D, params, mask)
     return [h.SparseCode(s[s >= 0], c[s >= 0], D.shape[1]) for s, c in zip(support, coef)]
 
@@ -255,27 +259,29 @@ def per_row_greedy(x, D, lam, cap):
 
 
 class TestStackedCodes:
-    """``sparse_codes`` against ``sparse_code`` row by row: equal supports
-    and bit-equal coefficients on every solver branch."""
+    """``code_block``, the pipeline's stacked entry, against ``sparse_code``
+    row by row: equal supports and bit-equal coefficients on every solver
+    branch."""
 
     def test_rows_stop_at_different_steps(self):
         rng = np.random.default_rng(40)
         D = random_dictionary(rng, 24, 120)
         X = mixed_rows(rng, D, 200)  # more rows than one stack holds
         params = h.SolverParams(lam=0.05, max_nonzeros=5)
-        stacked = h.sparse_codes(X, h.Dictionary(D), params)
+        stacked = block_codes(X, D, params)
         assert_same_codes(stacked, codes_per_row(X, D, params))
         everything = np.ones((200, 120), dtype=bool)
-        assert_same_codes(pool_codes(X, D, params, everything), stacked)
+        assert_same_codes(block_codes(X, D, params, everything), stacked)
         sizes = [c.indices.size for c in stacked]
         assert sizes[0] == sizes[5] == 0
         assert {1, 2, 3, 4} <= set(sizes)
 
     def test_matches_plain_per_row_greedy_for_any_row_layout(self):
-        # Codes depend on values, not layout: an F-ordered stack (strided
-        # rows) and a C-ordered one give bit-identical codes, those the
-        # two-dimensional greedy gives the contiguous rows, one-atom codes
-        # included.
+        # Codes depend on values, not layout: ``sparse_code`` on the strided
+        # rows of an F-ordered stack and on C-ordered ones, and the block of
+        # either stack copied C-contiguous, give bit-identical codes, those
+        # the two-dimensional greedy gives the contiguous rows, one-atom
+        # codes included.
         rng = np.random.default_rng(41)
         D = random_dictionary(rng, 16, 60)
         params = h.SolverParams(lam=0.1, max_nonzeros=4)
@@ -283,7 +289,7 @@ class TestStackedCodes:
         X[1::5] = 3.0 * D[:, :8].T + 0.01 * rng.normal(size=(8, 16))
         want = [per_row_greedy(x, D, params.lam, 4) for x in X]
         for rows in (X, np.asfortranarray(X)):
-            assert_same_codes(h.sparse_codes(rows, h.Dictionary(D), params), want)
+            assert_same_codes(block_codes(rows, D, params), want)
             assert_same_codes(codes_per_row(rows, D, params), want)
         assert sum(c.indices.size == 1 for c in want) >= 8
 
@@ -292,7 +298,7 @@ class TestStackedCodes:
         D = random_dictionary(rng, 12, 50)
         X = mixed_rows(rng, D, 30)
         params = h.SolverParams(lam=0.0, max_nonzeros=3)
-        stacked = h.sparse_codes(X, h.Dictionary(D), params)
+        stacked = block_codes(X, D, params)
         assert_same_codes(stacked, codes_per_row(X, D, params))
         assert max(c.indices.size for c in stacked) == 3
 
@@ -321,7 +327,7 @@ class TestStackedCodes:
         X = mixed_rows(rng, D, 40)
         X[::2] = np.outer(rng.uniform(500, 2000, 20) * rng.choice((-1.0, 1.0), 20), D[:, 0])
         params = h.SolverParams(lam=0.1, max_nonzeros=3)
-        stacked = h.sparse_codes(X, h.Dictionary(D), params)
+        stacked = block_codes(X, D, params)
         assert any(rows > 1 and per_row == rows for rows, per_row in calls)
         assert_same_codes(stacked, codes_per_row(X, D, params))
 
@@ -331,7 +337,7 @@ class TestStackedCodes:
         X = mixed_rows(rng, D, 12)
         for lam in (0.1, 0.0):
             params = h.SolverParams(lam=lam, max_nonzeros=3)
-            assert_same_codes(h.sparse_codes(X, h.Dictionary(D), params),
+            assert_same_codes(block_codes(X, D, params),
                               codes_per_row(X, D, params))
 
     def test_sweep_solves_each_support_once_for_the_whole_stack(self, monkeypatch):
@@ -340,16 +346,16 @@ class TestStackedCodes:
         calls = []
         solve_support = hsparse._solve_support
 
-        def counting(Ds, X, xx, lam):
+        def counting(Ds, X, lam):
             calls.append(len(X))
-            return solve_support(Ds, X, xx, lam)
+            return solve_support(Ds, X, lam)
 
         monkeypatch.setattr(hsparse, "_solve_support", counting)
         rng = np.random.default_rng(45)
         D = random_dictionary(rng, 8, 5)
         X = mixed_rows(rng, D, 64)
         params = h.SolverParams(lam=0.1, max_nonzeros=5)
-        stacked = h.sparse_codes(X, h.Dictionary(D), params)
+        stacked = block_codes(X, D, params)
         assert calls == [64] * 31
         monkeypatch.setattr(hsparse, "_solve_support", solve_support)
         assert_same_codes(stacked, codes_per_row(X, D, params))
@@ -363,7 +369,7 @@ class TestStackedCodes:
         mask = rng.random((50, 60)) < rng.uniform(0.1, 0.7, (50, 1))
         mask[1] = np.arange(60) < 2
         params = h.SolverParams(lam=0.05, max_nonzeros=4)
-        got = pool_codes(X, D, params, mask)
+        got = block_codes(X, D, params, mask)
         want = []
         for x, m in zip(X, mask):
             own = np.flatnonzero(m)
@@ -385,9 +391,9 @@ class TestStackedCodes:
         X = np.stack([3.0 * D[:, 12], -2.0 * D[:, 12] + 0.5 * D[:, 9]])
         params = h.SolverParams(lam=0.1, max_nonzeros=4)
         mask = np.arange(60) < 50
-        for codes in (h.sparse_codes(X, h.Dictionary(D), params),
+        for codes in (block_codes(X, D, params),
                       codes_per_row(X, D, params),
-                      pool_codes(X, D, params, np.stack([mask, mask]))):
+                      block_codes(X, D, params, np.stack([mask, mask]))):
             assert [c.indices.tolist() for c in codes] == [[12], [9, 12]]
 
     def test_row_with_fewer_atoms_than_the_cap_stops_when_they_are_used_up(self):
@@ -399,18 +405,42 @@ class TestStackedCodes:
         mask = np.zeros((3, 40), dtype=bool)
         mask[0, 5:15] = mask[1, 10:35] = mask[2] = True
         params = h.SolverParams(lam=0.001, max_nonzeros=12)
-        got = pool_codes(X, D, params, mask)
+        got = block_codes(X, D, params, mask)
         assert got[0].indices.tolist() == list(range(5, 15))
         alone = h.sparse_code(X[0], h.Dictionary(np.ascontiguousarray(D[:, 5:15])), params)
         assert np.allclose(got[0].coefficients, alone.coefficients, rtol=0, atol=1e-12)
         assert all(set(c.indices) <= set(np.flatnonzero(m)) for c, m in zip(got, mask))
 
     def test_stack_shapes(self):
-        D = h.Dictionary(random_dictionary(np.random.default_rng(45), 6, 40))
-        assert h.sparse_codes(np.zeros((0, 6)), D, h.SolverParams()) == []
-        for bad in (np.ones(6), np.ones((3, 5)), np.full((2, 6), np.nan)):
+        # An empty stack has no codes; ``sparse_code`` takes one finite
+        # spectrum of the dictionary's bands, not a stack.
+        D = random_dictionary(np.random.default_rng(45), 6, 40)
+        assert block_codes(np.zeros((0, 6)), D, h.SolverParams()) == []
+        for bad in (np.ones((1, 6)), np.ones(5), np.full(6, np.nan)):
             with pytest.raises(ValueError):
-                h.sparse_codes(bad, D, h.SolverParams())
+                h.sparse_code(bad, h.Dictionary(D), h.SolverParams())
+
+
+def test_block_residuals_hold_one_copy_of_the_stack():
+    # 20,000 rows of 5-atom codes (and some of 2): gathering every row's
+    # columns at once peaks at about 8 stacks.
+    rng = np.random.default_rng(50)
+    D = random_dictionary(rng, 100, 300)
+    X = rng.normal(size=(20000, 100))
+    support = rng.integers(0, 60, (20000, 5)) + 60 * np.arange(5)  # ascending
+    coef = rng.normal(size=(20000, 5))
+    support[::7, 2:], coef[::7, 2:] = -1, 0.0
+    tracemalloc.start()
+    try:
+        r = hsparse.block_residuals(X, D, support, coef)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / X.nbytes < 2.0
+    for i in range(0, 20000, 997):
+        s = support[i][support[i] >= 0]
+        code = h.SparseCode(s, coef[i, :s.size], 300)
+        assert r[i] == h.residual_norm(X[i], h.Dictionary(D), code)
 
 
 class TestResidualNorm:
