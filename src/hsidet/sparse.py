@@ -12,8 +12,11 @@ single spectrum is a stack of one row.  A per-row mask confines each row to
 its own columns of the matrix, such as a pixel's [global | dual-window
 ring] atoms in a shared pool.  Every fixed-support subproblem is solved
 exactly: by least squares when lambda is 0, else over all 2^size sign
-patterns of its stationarity system, size <= ``MAX_NONZEROS``.  Signs are
-unconstrained.
+patterns of its stationarity system, size <= ``MAX_NONZEROS``, of which
+only the patterns its solutions keep are scored.  Signs are unconstrained.
+A stack is as tall as ``_STACK_ELEMENTS`` doubles allow for the blocks each
+row holds at once: its correlations, its support columns and its sign-pattern
+coefficients.
 
 Ties go to the lowest column on both paths: the sweep keeps the first
 support at equal objectives, and greedy admission takes the lowest column
@@ -120,11 +123,16 @@ def _solve_support(Ds, X, lam):
     would split the coefficients of near-duplicate atoms arbitrarily.
     Otherwise all sign patterns s of each row's stationarity system
     G a = Ds^T x - lam * s are solved in one batched linear solve over the
-    stack, and each row's consistent pattern with the best objective wins.
-    A stack holding a singular Gram matrix is solved row by row, and a row
-    whose own Gram matrix is singular by ``lstsq``.  The zero code is no
-    candidate: callers keep a support only when its objective is below the
-    row's best so far, which starts at the zero code's 0.5 ||x||^2.
+    stack.  A pattern is consistent when its solution keeps its signs (each
+    a_i s_i >= -1e-12), and only the consistent (row, pattern) pairs are
+    scored, gathered: with a nonsingular G the subproblem is strictly
+    convex, so a row has at most one, more only within the tolerance, where
+    the lower pattern index wins a tie.  A row with none, as when its
+    optimum has a zero coefficient, returns an infinite objective.  A stack
+    holding a singular Gram matrix is solved row by row, and a row whose own
+    Gram matrix is singular by ``lstsq``.  The zero code is no candidate:
+    callers keep a support only when its objective is below the row's best
+    so far, which starts at the zero code's 0.5 ||x||^2.
 
     Returns (coefficients (n, size), objectives (n,)).
     """
@@ -152,10 +160,12 @@ def _solve_support(Ds, X, lam):
                 A[i] = np.linalg.lstsq(G[i], rhs[i], rcond=None)[0]
     # Objectives in data space: the Gram-space form cancels catastrophically
     # when a near-singular support yields huge coefficients, letting garbage
-    # candidates win.
-    R = X[:, :, None] - Ds @ A
-    objs = 0.5 * np.einsum("nij,nij->nj", R, R) + lam * np.abs(A).sum(axis=1)
-    objs[~((A * signs).min(axis=1) >= -1e-12)] = np.inf        # inconsistent signs
+    # candidates win.  The spent right-hand sides take the sign products.
+    r, p = np.nonzero(np.multiply(A, signs, out=rhs).min(axis=1) >= -1e-12)
+    a = A[r, :, p]                                              # (pairs, size)
+    R = X[r] - (Ds[r] @ a[:, :, None])[:, :, 0]
+    objs = np.full((n, signs.shape[1]), np.inf)
+    objs[r, p] = 0.5 * _row_dots(R) + lam * np.abs(a).sum(axis=1)
     j = objs.argmin(axis=1)
     rows = np.arange(n)
     return A[rows, :, j], objs[rows, j]
@@ -206,13 +216,15 @@ def _greedy(X, mat, cap, params, mask):
     support, coef, Ds = np.zeros((n, 0), dtype=np.intp), np.zeros((n, 0)), None
     for step in range(cap):
         R = Xl - (Ds @ coef[:, :, None])[:, :, 0] if step else Xl
-        mag = np.abs(R @ mat)
+        mag = R @ mat
+        np.abs(mag, out=mag)
         mag[~M] = 0.0
         rows = np.arange(live.size)
         mag[rows[:, None], support] = 0.0
         top = mag.max(axis=1, keepdims=True)
         j = (mag >= top * (1.0 - _TIE_RTOL)).argmax(axis=1)
         grow = mag[rows, j] > lam + 1e-15       # else the soft threshold zeroes it
+        del mag                                 # spent before the solve's blocks exist
         if not grow.all():
             if not grow.any():
                 break
@@ -246,9 +258,10 @@ def code_block(X: np.ndarray, mat: np.ndarray, params: SolverParams,
     support, coef = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))
     if mask is None:
         mask = np.broadcast_to(True, (n, n_atoms))
-    # Stack heights keep the correlation block and the largest sign-pattern
-    # residual block near _STACK_ELEMENTS doubles each.
-    rows = max(1, _STACK_ELEMENTS // max(n_atoms, mat.shape[0] << cap))
+    # A stack's rows share _STACK_ELEMENTS doubles among the blocks each row
+    # holds at once: its correlations, its support columns and its
+    # sign-pattern coefficients, at the largest support.
+    rows = max(1, _STACK_ELEMENTS // (n_atoms + mat.shape[0] * cap + (cap << cap)))
     # A row's own dictionary is its mask row's atoms.  Rows with few enough
     # of them are swept exactly, a stack of one atom count at a time, since
     # greedy selection can land in local optima on coherent dictionaries.
@@ -285,20 +298,25 @@ def sparse_code(x: np.ndarray, D: Dictionary, params: SolverParams) -> SparseCod
 
 
 def block_residuals(X, mat, support, coef) -> np.ndarray:
-    """Norms of x - mat[:, s] @ c for the rows x of X, s a row's ``support``
-    up to its first -1 (zero coefficients included) and c its ``coef``.  Rows
-    of one support size are formed together, each bit for bit as
-    ``residual_norm`` forms it, in stacks whose gathered columns hold about
-    ``_STACK_ELEMENTS`` doubles: beyond the copy of X, memory stays bounded."""
-    R = np.array(X, dtype=np.float64, order="C")  # unit-stride rows, as residual_norm's r
+    """Norms of x - mat[:, s] @ c for the rows x of the C-contiguous float64
+    stack X, s a row's ``support`` up to its first -1 (zero coefficients
+    included) and c its ``coef``; a row with no support is its own residual.
+    Rows of one support size are formed together, each bit for bit as
+    ``residual_norm`` forms it, in stacks whose gathered columns and residual
+    rows hold about ``_STACK_ELEMENTS`` doubles: beyond the norms, memory is
+    bounded by the stack, not by X."""
+    norms = np.empty(X.shape[0])
     counts = (support >= 0).sum(axis=1)
-    for size in set(counts.tolist()) - {0}:
+    for size in set(counts.tolist()):
         rows = np.flatnonzero(counts == size)
-        step = max(1, _STACK_ELEMENTS // (mat.shape[0] * size))
+        step = max(1, _STACK_ELEMENTS // (mat.shape[0] * (size + 1)))
         for start in range(0, rows.size, step):
             i = rows[start:start + step]
-            R[i] -= (_columns(mat, support[i, :size]) @ coef[i, :size, None])[:, :, 0]
-    return np.sqrt(_row_dots(R))
+            R = X[i]
+            if size:
+                R -= (_columns(mat, support[i, :size]) @ coef[i, :size, None])[:, :, 0]
+            norms[i] = np.sqrt(_row_dots(R))
+    return norms
 
 
 def residual_norm(x: np.ndarray, D: Dictionary, code: SparseCode) -> float:

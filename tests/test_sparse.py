@@ -266,11 +266,11 @@ class TestStackedCodes:
     def test_rows_stop_at_different_steps(self):
         rng = np.random.default_rng(40)
         D = random_dictionary(rng, 24, 120)
-        X = mixed_rows(rng, D, 200)  # more rows than one stack holds
+        X = mixed_rows(rng, D, 400)  # more rows than one stack holds (327 here)
         params = h.SolverParams(lam=0.05, max_nonzeros=5)
         stacked = block_codes(X, D, params)
         assert_same_codes(stacked, codes_per_row(X, D, params))
-        everything = np.ones((200, 120), dtype=bool)
+        everything = np.ones((400, 120), dtype=bool)
         assert_same_codes(block_codes(X, D, params, everything), stacked)
         sizes = [c.indices.size for c in stacked]
         assert sizes[0] == sizes[5] == 0
@@ -421,23 +421,68 @@ class TestStackedCodes:
                 h.sparse_code(bad, h.Dictionary(D), h.SolverParams())
 
 
-def test_block_residuals_hold_one_copy_of_the_stack():
-    # 20,000 rows of 5-atom codes (and some of 2): gathering every row's
-    # columns at once peaks at about 8 stacks.
+class TestSolveSupport:
+    """``_solve_support``'s sign patterns: only the consistent ones are
+    scored, and its memory follows its coefficient block, not its residuals."""
+
+    def test_optimum_with_a_zero_coefficient_has_no_consistent_pattern(self):
+        # x is twice atom 0 and atom 1 is orthogonal to it: the optimum on
+        # {0, 1} is (2 - lam, 0), so every pattern's a_1 = -lam * s_1 breaks
+        # its sign.  The support scores inf, and the sweep keeps {0}.
+        D = np.eye(3)[:, :2]
+        x = 2.0 * D[:, 0]
+        _, obj = hsparse._solve_support(D[None], x[None], 0.1)
+        assert obj.tolist() == [np.inf]
+        code = h.sparse_code(x, h.Dictionary(D), h.SolverParams(lam=0.1, max_nonzeros=2))
+        assert code.indices.tolist() == [0] and code.coefficients.tolist() == [1.9]
+
+    def test_tie_at_the_sign_boundary_goes_to_the_lower_pattern(self):
+        # With lam = 1e-13 and x orthogonal to the atom, both patterns give
+        # |a| = 1e-13, inside the -1e-12 tolerance of either sign, and equal
+        # objectives: pattern 0 (s = -1, so a = +lam) wins.
+        D = np.eye(2)[:, :1]
+        a, obj = hsparse._solve_support(D[None], np.array([[0.0, 1.0]]), 1e-13)
+        assert a.tolist() == [[1e-13]]
+        assert obj.tolist() == [0.5]
+
+    def test_peak_follows_the_coefficient_block(self):
+        # 32 rows of 100 bands at size 8: solving every pattern needs the
+        # (n, size, 2^size) coefficient block; a residual for every pattern
+        # would be 12.5 times that.
+        rng = np.random.default_rng(51)
+        n, bands, size = 32, 100, 8
+        Ds = np.ascontiguousarray(rng.normal(size=(n, size, bands))).transpose(0, 2, 1)
+        X = rng.normal(size=(n, bands))
+        block = n * size * (1 << size) * 8
+        tracemalloc.start()
+        try:
+            hsparse._solve_support(Ds, X, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * block
+
+
+def test_block_residuals_hold_no_copy_of_the_stack():
+    # 20,000 rows of 5-atom codes, some of 2 and some of none: each stack's
+    # residual rows are its own buffer, so the peak stays near one stack of
+    # _STACK_ELEMENTS doubles, about a tenth of X here; copying X, or
+    # gathering every row's columns at once, is at least one X.
     rng = np.random.default_rng(50)
     D = random_dictionary(rng, 100, 300)
     X = rng.normal(size=(20000, 100))
     support = rng.integers(0, 60, (20000, 5)) + 60 * np.arange(5)  # ascending
     coef = rng.normal(size=(20000, 5))
     support[::7, 2:], coef[::7, 2:] = -1, 0.0
+    support[::13], coef[::13] = -1, 0.0
     tracemalloc.start()
     try:
         r = hsparse.block_residuals(X, D, support, coef)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / X.nbytes < 2.0
-    for i in range(0, 20000, 997):
+    assert peak / X.nbytes < 0.2
+    for i in range(0, 20000, 997):  # rows 0 and 12,961 have no support
         s = support[i][support[i] >= 0]
         code = h.SparseCode(s, coef[i, :s.size], 300)
         assert r[i] == h.residual_norm(X[i], h.Dictionary(D), code)
