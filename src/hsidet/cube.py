@@ -79,7 +79,8 @@ class HsiCube:
 
 @dataclass(frozen=True, eq=False)
 class Dictionary:
-    """A bands x atoms matrix whose columns are unit-norm spectra."""
+    """A bands x atoms matrix of spectra, checked only to be 2-D, finite and
+    free of zero columns: keeping its columns unit-norm is the maker's job."""
 
     columns: np.ndarray
 

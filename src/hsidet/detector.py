@@ -21,8 +21,8 @@ import numpy as np
 from . import dictlearn, predetect
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
-from .hierdict import NORM_TOLERANCE, WindowSpec, check_rings, unit_pixels, window_rings
-from .sparse import SolverParams, block_residuals, code_block
+from .hierdict import NORM_TOLERANCE, WindowSpec, check_rings, window_rings
+from .sparse import SolverParams, _row_dots, block_residuals, code_block
 
 
 _TILE = 16  # side of the square image tiles whose pixels share one pool
@@ -31,8 +31,8 @@ _TILE = 16  # side of the square image tiles whose pixels share one pool
 def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
                 params: SolverParams):
     """Code every pixel against its own dictionary: the ``shared`` atoms,
-    then its unit-norm dual-window ring (``hierdict.local_background``), or
-    no ring when ``window`` is None.
+    then its unit-norm dual-window ring (``hierdict.window_rings``), or no
+    ring when ``window`` is None.
 
     Yields blocks of pixels as (row-major pixel indices, spectra, pool
     array, the pixels' code block in pool columns from
@@ -55,16 +55,16 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
     if window is None:
         yield slice(None), pixels, shared.columns, code_block(pixels, shared.columns, params)
         return
-    unit, nonzero = unit_pixels(cube)
-    height, width = nonzero.shape
+    height, width = cube.height, cube.width
+    nonzero = (_row_dots(pixels) > 0.0).reshape(height, width)
     check_rings(nonzero, range(height), range(width), window)
     index = np.arange(height * width).reshape(height, width)
     for y in range(0, height, _TILE):
         for x in range(0, width, _TILE):
             tile = index[y:y + _TILE, x:x + _TILE]
-            near, rings = window_rings(nonzero, range(y, y + tile.shape[0]),
+            unit, rings = window_rings(pixels, nonzero, range(y, y + tile.shape[0]),
                                        range(x, x + tile.shape[1]), window)
-            pool = np.hstack([shared.columns, unit[:, near]])
+            pool = np.hstack([shared.columns, unit])
             masks = np.hstack([np.ones((tile.size, shared.n_atoms), dtype=bool), rings])
             pixel = tile.ravel()
             X = pixels[pixel]  # the tile's spectra, gathered into a C-contiguous stack

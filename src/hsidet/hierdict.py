@@ -2,12 +2,12 @@
 
 Every pixel inside the outer window of a dual concentric sliding window but
 outside its inner window contributes its spectrum as one atom.  Windows are
-clamped at image borders (no padding), zero-norm pixels are dropped, and
-every atom is normalized to unit length.  The image is normalized once
-(``unit_pixels``) and every ring, of one pixel or of a whole image tile,
-follows one rule (``window_rings``); one box-sum rule (``check_rings``)
+clamped at image borders (no padding), zero-norm pixels (x @ x == 0, an
+underflowing one included) are dropped, and every atom is unit-norm.  One
+rule (``window_rings``) gathers and normalizes the ring pool of one pixel or
+of a whole image tile, that pool alone; one box-sum rule (``check_rings``)
 names the first pixel whose ring is empty.  ``detector._ring_codes`` builds
-the hierarchical dictionary [global atoms | ring], one pool per 16x16 tile.
+from it the [global atoms | ring] pools, one per 16x16 tile.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import Dictionary, HsiCube
+from .sparse import _row_dots
 
 NORM_TOLERANCE = 1e-9
 
@@ -47,28 +48,18 @@ def normalize_atoms(D: Dictionary) -> Dictionary:
     return Dictionary(D.columns / np.linalg.norm(D.columns, axis=0))
 
 
-def unit_pixels(cube: HsiCube) -> tuple[np.ndarray, np.ndarray]:
-    """Every pixel spectrum divided by its norm, as the columns of a (bands,
-    N) array in row-major pixel order, and the (height, width) mask of
-    nonzero-norm pixels (the zero-norm columns stay zero)."""
-    flat = cube.pixels().T
-    norms = np.linalg.norm(flat, axis=0)
-    nonzero = norms > 0.0
-    return flat / np.where(nonzero, norms, 1.0), nonzero.reshape(cube.height, cube.width)
-
-
-def window_rings(nonzero: np.ndarray, ys: range, xs: range,
+def window_rings(pixels: np.ndarray, nonzero: np.ndarray, ys: range, xs: range,
                  w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
     """The dual-window rings of the pixels of one tile: the image rows ``ys``
-    by the columns ``xs``, two ranges of step 1.
+    by the columns ``xs``, two ranges of step 1, of the (n_pixels, bands)
+    ``pixels`` whose (height, width) nonzero-norm mask is ``nonzero``.
 
-    ``nonzero`` is the (height, width) mask of nonzero-norm pixels.  Returns
-    the row-major indices of the nonzero-norm pixels of the tile's rectangle
-    widened by ``outer // 2`` on every side and clamped to the image, and a
-    (tile pixels, pool pixels) mask whose row for (x, y), the tile's pixels
-    in row-major order, is True on its ring: its clamped outer window minus
-    its clamped inner window, zero-norm pixels dropped.  A ring may be
-    empty here; ``check_rings`` names such a pixel."""
+    Returns the pool, the nonzero-norm pixels of the tile's rectangle widened
+    by ``outer // 2`` and clamped, in row-major order, gathered and divided
+    in place by their own norms into the columns of a (bands, pool) array;
+    and a (tile pixels, pool) mask whose row for (x, y), in row-major order,
+    is True on its ring: its clamped outer window minus its clamped inner
+    window.  A ring may be empty here; ``check_rings`` names such a pixel."""
     height, width = nonzero.shape
     half = w.outer // 2
     rows = np.arange(max(0, ys[0] - half), min(height, ys[-1] + half + 1))
@@ -79,8 +70,9 @@ def window_rings(nonzero: np.ndarray, ys: range, xs: range,
     outer = (dy <= half)[:, None, :, None] & (dx <= half)[None, :, None, :]
     ring = (outer & ~inner).reshape(len(ys) * len(xs), rows.size * cols.size)
     kept = nonzero[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1].ravel()
-    pool = (rows[:, None] * width + cols[None, :]).ravel()
-    return pool[kept], ring[:, kept]
+    unit = pixels[(rows[:, None] * width + cols[None, :]).ravel()[kept]]
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    return unit.T, ring[:, kept]
 
 
 def _window_counts(mask: np.ndarray, ys: range, xs: range, half: int) -> np.ndarray:
@@ -119,9 +111,10 @@ def local_background(cube: HsiCube, x: int, y: int, w: WindowSpec) -> Dictionary
     columns unit-norm."""
     if not (0 <= x < cube.width and 0 <= y < cube.height):
         raise IndexError(f"pixel ({x}, {y}) outside {cube.width}x{cube.height} image")
-    unit, nonzero = unit_pixels(cube)
+    pixels = cube.pixels()
+    nonzero = (_row_dots(pixels) > 0.0).reshape(cube.height, cube.width)
     ys, xs = range(y, y + 1), range(x, x + 1)
     check_rings(nonzero, ys, xs, w)
-    pool, rings = window_rings(nonzero, ys, xs, w)
-    return Dictionary(unit[:, pool[rings[0]]])
+    unit, rings = window_rings(pixels, nonzero, ys, xs, w)
+    return Dictionary(unit[:, rings[0]])
 

@@ -210,12 +210,11 @@ def _greedy(X, mat, cap, params, mask):
     out = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))
     # State of the rows still admitting atoms, compacted as rows stop: their
     # indices, spectra, atom masks, objectives, supports (in admission
-    # order), coefficients and support columns.
-    live, Xl, M = np.arange(n), X, mask
+    # order) and residuals.
+    live, Xl, M, R = np.arange(n), X, mask, X
     best = 0.5 * _row_dots(X)
-    support, coef, Ds = np.zeros((n, 0), dtype=np.intp), np.zeros((n, 0)), None
+    support = np.zeros((n, 0), dtype=np.intp)
     for step in range(cap):
-        R = Xl - (Ds @ coef[:, :, None])[:, :, 0] if step else Xl
         mag = R @ mat
         np.abs(mag, out=mag)
         mag[~M] = 0.0
@@ -228,20 +227,20 @@ def _greedy(X, mat, cap, params, mask):
         if not grow.all():
             if not grow.any():
                 break
-            live, Xl, M, best, support, coef, j = (
-                v[grow] for v in (live, Xl, M, best, support, coef, j))
-            grow = grow[grow]
+            live, Xl, M, best, support, j = (v[grow] for v in (live, Xl, M, best, support, j))
         trial = np.concatenate((support, j[:, None]), axis=1)
         Ds = _columns(mat, trial)
         a, obj = _solve_support(Ds, Xl, lam)
-        accept = grow & (obj < best - 1e-15)
+        accept = obj < best - 1e-15
         if not accept.any():
             break
         if not accept.all():
             live, Xl, M, trial, a, obj, Ds = (
                 v[accept] for v in (live, Xl, M, trial, a, obj, Ds))
-        support, coef, best = trial, a, obj
-        out[0][live, :step + 1], out[1][live, :step + 1] = support, coef
+        R = Xl - (Ds @ a[:, :, None])[:, :, 0]
+        del Ds                                  # spent before the next step's columns exist
+        support, best = trial, obj
+        out[0][live, :step + 1], out[1][live, :step + 1] = support, a
     return out
 
 

@@ -8,6 +8,8 @@ is added on top.  Everything is deterministic per seed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,18 +32,23 @@ class SceneSpec:
     placement: str = "scattered"
 
     def __post_init__(self):
-        if self.n_endmembers < 1:
-            raise ValueError("n_endmembers must be >= 1")
+        for name, least in (("width", 1), ("height", 1), ("bands", 1), ("n_endmembers", 1),
+                            ("n_targets", 1), ("seed", 0)):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+        for name in ("target_fill", "noise_sigma"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number")
         if not 0.0 < self.target_fill <= 1.0:
             raise ValueError("target_fill must be in (0, 1]")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError("noise_sigma must be finite and >= 0")
         if self.placement not in PLACEMENTS:
             raise ValueError(f"placement must be one of {PLACEMENTS}")
         if self.n_targets >= self.width * self.height:
             raise ValueError("n_targets must leave room for background pixels")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 def _smooth_spectrum(rng: np.random.Generator, bands: int) -> np.ndarray:

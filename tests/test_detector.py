@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,46 @@ class TestWindowedCoder:
             h.residual_maps(cube, D, D, window, h.SolverParams())
         with pytest.raises(ValueError, match=message):
             std_map(cube, D, window, h.SolverParams())
+
+    def test_tiny_pixels_follow_the_nonzero_rule_in_a_ring_pool(self):
+        # A pixel at 1e-170 in every band has a norm that underflows to 0,
+        # so the pool drops it as it drops a zero pixel; one at 1e-160 has a
+        # subnormal squared norm, so the pool keeps it, divided by its own
+        # norm.  The 7x5 image is one tile whose pool is the whole image.
+        rng = np.random.default_rng(311)
+        data = rng.random((6, 5, 7)) + 0.05
+        data[:, 1, 2], data[:, 3, 4] = 1e-170, 1e-160
+        cube = h.HsiCube(data)
+        D_g = unit_atoms(rng, 6, 3)
+        window, params = h.WindowSpec(3, 1), h.SolverParams(lam=0.05, max_nonzeros=2)
+        ((_, _, pool, _),) = detector._ring_codes(cube, D_g, window, params)
+        assert pool.shape == (6, 3 + 5 * 7 - 1)
+        tiny = data[:, 3, 4]  # pool column 3 + (3 * 7 + 4) - 1: (2, 1) is dropped
+        assert pool[:, 27].tobytes() == (tiny / np.linalg.norm(tiny)).tobytes()
+        data[:, 1, 2] = 0.0
+        ((_, _, zeroed, _),) = detector._ring_codes(h.HsiCube(data), D_g, window, params)
+        assert pool.tobytes() == zeroed.tobytes()
+        r_b = h.residual_maps(cube, D_g, D_g, window, params)[1]
+        assert r_b.values.tobytes() == per_pixel_background(cube, D_g, window, params).tobytes()
+
+    def test_ring_pass_holds_no_cube_sized_array(self):
+        # Each tile's pool is gathered and normalized on its own, so W-SHR's
+        # and STD's peaks are the coder's stacks, bounded by
+        # _STACK_ELEMENTS, plus a few words a pixel; a normalized copy of the
+        # pixels alone would be one cube.
+        rng = np.random.default_rng(310)
+        cube = windowed_cube(rng, 200, 128, 128)
+        D_t, D_g = unit_atoms(rng, 200, 3), unit_atoms(rng, 200, 4)
+        window, params = h.WindowSpec(3, 1), h.SolverParams(lam=0.1, max_nonzeros=1)
+        for run in (lambda: h.residual_maps(cube, D_t, D_g, window, params),
+                    lambda: std_map(cube, D_t, window, params)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * cube.data.nbytes
 
     def test_one_background_code_block_per_tile(self, monkeypatch):
         # A 16x16 image is one tile; a 37x20 one is six, cut short on both

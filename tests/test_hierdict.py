@@ -1,5 +1,7 @@
 """Dual-window geometry and hierarchical dictionary assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,44 @@ class TestLocalBackground:
         local = h.local_background(cube, 2, 2, h.WindowSpec(3, 1))
         assert local.n_atoms == 7
 
+    def test_tiny_pixels_follow_the_nonzero_rule(self):
+        # 1e-170 squares to 1e-340, below the smallest subnormal, so that
+        # pixel's norm is 0 and it is dropped exactly as a zero pixel is.
+        # 1e-160 squares to a subnormal: the pixel is kept and divided by its
+        # own norm, whose few subnormal bits leave the column's norm within
+        # 1e-5 of one.
+        data = np.random.default_rng(7).random((4, 5, 5)) + 0.1
+        data[:, 1, 2], data[:, 3, 1] = 1e-170, 1e-160
+        local = h.local_background(h.HsiCube(data), 2, 2, h.WindowSpec(3, 1))
+        data[:, 1, 2] = 0.0
+        zeroed = h.local_background(h.HsiCube(data), 2, 2, h.WindowSpec(3, 1))
+        assert local.n_atoms == 7
+        assert local.columns.tobytes() == zeroed.columns.tobytes()
+        tiny = data[:, 3, 1]  # ring position 4 in row-major order, (2, 1) dropped
+        assert local.columns[:, 4].tobytes() == (tiny / np.linalg.norm(tiny)).tobytes()
+        assert abs(np.linalg.norm(local.columns[:, 4]) - 1.0) < 1e-5
+
     def test_out_of_bounds_pixel(self):
         cube = cube_of(5, 5)
         with pytest.raises(IndexError):
             h.local_background(cube, 5, 0, h.WindowSpec(3, 1))
+
+
+def test_local_background_peak_does_not_grow_with_the_image():
+    # Only the window's pixels are gathered and normalized.  What grows with
+    # the image is its nonzero mask and the ring check's box sums, a few
+    # words a pixel against 200 doubles of spectrum; a normalized copy of
+    # the pixels would grow by the whole cube.
+    peaks, sizes = [], []
+    for side in (24, 96):
+        cube = cube_of(side, side, bands=200, seed=8)
+        tracemalloc.start()
+        try:
+            local = h.local_background(cube, 10, 10, h.WindowSpec(19, 9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert local.n_atoms == 280
+        peaks.append(peak)
+        sizes.append(cube.data.nbytes)
+    assert peaks[1] - peaks[0] < 0.05 * (sizes[1] - sizes[0])

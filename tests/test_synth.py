@@ -74,6 +74,22 @@ class TestGenerate:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             h.SceneSpec(seed=-1)
 
+    @pytest.mark.parametrize("field,value,message", [
+        # nan > 0 is False, so a nan sigma used to give a noiseless scene.
+        ("noise_sigma", float("nan"), "noise_sigma must be finite and >= 0"),
+        ("noise_sigma", float("inf"), "noise_sigma must be finite and >= 0"),
+        ("bands", 0, "bands must be >= 1"),
+        ("height", 0, "height must be >= 1"),
+        ("width", 2.5, "width must be an integer"),
+        ("n_endmembers", 2.0, "n_endmembers must be an integer"),
+        ("n_targets", 0, "n_targets must be >= 1"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("target_fill", "0.5", "target_fill must be a real number"),
+    ])
+    def test_bad_field_is_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            h.SceneSpec(**{field: value})
+
 
 class TestPresets:
     def test_expected_presets_present(self):
