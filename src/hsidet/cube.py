@@ -6,6 +6,14 @@ detector works on whole spectra, whose sums round by memory order, so one
 order gives one result per cube.  On disk cubes are a small text header plus
 a raw little-endian float32 binary, in ``bsq`` or ``bil`` interleave.  All
 in-memory numerics are float64.
+
+No cube-sized temporary is made on the way in or out.  ``load_cube`` and
+``synth.generate`` fill a fresh pixel-major buffer from ``_pixel_buffer``
+and hand it to ``HsiCube._frozen``, which freezes it in place instead of
+copying it; ``HsiCube(arr)`` still copies.  A file is read and widened one
+block at a time (image rows for ``bil``, bands for ``bsq``) and written in
+the same blocks, and the one finiteness scan runs over blocks of pixel
+rows, so no cube-sized mask exists either.
 """
 
 from __future__ import annotations
@@ -20,6 +28,35 @@ import numpy as np
 
 class FormatError(ValueError):
     """Raised for malformed or inconsistent on-disk artifacts."""
+
+
+_BLOCK_VALUES = 1 << 16    # values per file block and finiteness-scan block
+
+
+def _pixel_buffer(bands: int, height: int, width: int) -> np.ndarray:
+    """A fresh, writable (height, width, bands) float64 buffer: the memory
+    order of every cube, for its maker to fill and ``HsiCube._frozen`` to
+    freeze."""
+    return np.empty((height, width, bands))
+
+
+def _freeze(buf: np.ndarray) -> np.ndarray:
+    """Scan a (height, width, bands) pixel buffer for non-finite values a
+    block of rows at a time, make it read-only and return its (bands,
+    height, width) view.  The error names the first non-finite value in
+    (band, y, x) order, which a later block can hold."""
+    height, width, bands = buf.shape
+    step = max(1, _BLOCK_VALUES // (width * bands))
+    bad = []
+    for y in range(0, height, step):
+        finite = np.isfinite(buf[y:y + step].transpose(2, 0, 1))
+        if not finite.all():
+            band, dy, x = np.argwhere(~finite)[0]
+            bad.append((band, y + dy, x))
+    if bad:
+        raise ValueError("non-finite value at band={}, y={}, x={}".format(*min(bad)))
+    buf.setflags(write=False)
+    return buf.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,14 +75,17 @@ class HsiCube:
             raise ValueError("cube data must be 3-D (bands, height, width)")
         if min(arr.shape) < 1:
             raise ValueError("cube dimensions must all be >= 1")
-        arr = arr.transpose(1, 2, 0).astype(np.float64, order="C").transpose(2, 0, 1)
-        if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(
-                f"non-finite value at band={bad[0]}, y={bad[1]}, x={bad[2]}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        buf = _pixel_buffer(*arr.shape)
+        buf[...] = arr.transpose(1, 2, 0)
+        object.__setattr__(self, "data", _freeze(buf))
+
+    @classmethod
+    def _frozen(cls, buf: np.ndarray) -> HsiCube:
+        """The cube of a filled ``_pixel_buffer``, frozen in place, not copied:
+        the buffer must be fresh and referenced by its maker alone."""
+        cube = object.__new__(cls)
+        object.__setattr__(cube, "data", _freeze(buf))
+        return cube
 
     @property
     def bands(self) -> int:
@@ -210,6 +250,23 @@ def _parse_header(header_path: str) -> dict:
     return {**dims, "interleave": fields["interleave"]}
 
 
+def _file_blocks(pixels: np.ndarray, interleave: str) -> list:
+    """The blocks of a (height, width, bands) pixel array in file order, each a
+    view laid out as its values lie in a file of ``interleave``: groups of
+    whole image rows for ``bil``, of about ``_BLOCK_VALUES`` values, and
+    groups of whole bands for ``bsq``, as many or at least 8.  A pass over
+    the pixels per band would touch each 64-byte line of a spectrum once per
+    band; 8 bands fill one line."""
+    height, width, bands = pixels.shape
+    if interleave == "bsq":
+        step = max(8, _BLOCK_VALUES // (height * width))
+        order = pixels.transpose(2, 0, 1)                   # (band, y, x)
+        return [order[b:b + step] for b in range(0, bands, step)]
+    step = max(1, _BLOCK_VALUES // (bands * width))
+    order = pixels.transpose(0, 2, 1)                       # bil: (y, band, x)
+    return [order[y:y + step] for y in range(0, height, step)]
+
+
 def load_cube(header_path: str) -> HsiCube:
     """Load a cube from ``<name>.hdr`` + ``<name>.raw``."""
     hdr = _parse_header(header_path)
@@ -217,17 +274,15 @@ def load_cube(header_path: str) -> HsiCube:
     if not os.path.exists(raw_path):
         raise FileNotFoundError(raw_path)
     w, h, b = hdr["width"], hdr["height"], hdr["bands"]
-    raw = np.fromfile(raw_path, dtype="<f4")
-    if raw.size != w * h * b:
-        raise FormatError(
-            f"{raw_path}: expected {w * h * b} float32 values, found {raw.size}"
-        )
-    if hdr["interleave"] == "bsq":
-        data = raw.reshape(b, h, w)
-    else:  # bil: row-major (row, band, column)
-        data = raw.reshape(h, b, w).transpose(1, 0, 2)
+    found = os.path.getsize(raw_path) // 4
+    if found != w * h * b:
+        raise FormatError(f"{raw_path}: expected {w * h * b} float32 values, found {found}")
+    buf = _pixel_buffer(b, h, w)
+    with open(raw_path, "rb") as fh:
+        for block in _file_blocks(buf, hdr["interleave"]):
+            block[...] = np.fromfile(fh, dtype="<f4", count=block.size).reshape(block.shape)
     try:
-        return HsiCube(data)    # the one finiteness scan; its error names the value
+        return HsiCube._frozen(buf)     # the one finiteness scan; its error names the value
     except ValueError as exc:
         raise FormatError(f"{raw_path}: {exc}") from exc
 
@@ -243,9 +298,10 @@ def save_cube(cube: HsiCube, header_path: str, interleave: str = "bsq") -> None:
         fh.write(f"bands: {cube.bands}\n")
         fh.write("dtype: float32\n")
         fh.write(f"interleave: {interleave}\n")
-    data = cube.data.transpose(1, 0, 2) if interleave == "bil" else cube.data
-    # tofile writes a non-contiguous array one element at a time.
-    np.ascontiguousarray(data, dtype="<f4").tofile(_raw_path(header_path))
+    with open(_raw_path(header_path), "wb") as fh:
+        for block in _file_blocks(cube.data.transpose(1, 2, 0), interleave):
+            # tofile writes a non-contiguous array one element at a time.
+            np.ascontiguousarray(block, dtype="<f4").tofile(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +315,11 @@ def _csv_path(path: str) -> str:
 
 
 def save_scoremap(smap: ScoreMap, path: str) -> None:
-    body = "".join([f"{x},{y},{score!r}\n"
-                    for y, row in enumerate(smap.values.tolist())
-                    for x, score in enumerate(row)])
+    # One %-format per image row: its template holds every x, and "\0"
+    # stands for the row's y.  %r writes a float as repr does.
+    template = "".join([f"{x},\0,%r\n" for x in range(smap.width)])
+    body = "".join([template.replace("\0", str(y)) % tuple(row)
+                    for y, row in enumerate(smap.values.tolist())])
     with open(_csv_path(path), "w", encoding="ascii") as fh:
         fh.write("x,y,score\n" + body)
 

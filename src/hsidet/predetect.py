@@ -8,12 +8,14 @@ adaptive cosine estimator: the squared cosine between x - mu and d - 0 in
 background-whitened coordinates.
 
 Both statistics are global: one filter / one covariance for the whole
-cube, each from one GEMM over every pixel.  The correlation (rather than
-centered covariance) form of CEM is the classical convention.  ACE keeps
-one centred copy of the pixels beside the cube and whitens and scores it
-one block of ``_ACE_ROWS`` pixels at a time, so the whitened cube is never
-whole; every score has the bytes of the whole-cube product at one BLAS
-thread.
+cube.  CEM's correlation matrix is one GEMM over every pixel; the
+correlation (rather than centered covariance) form of CEM is the classical
+convention.  ACE makes no cube-sized array: it works through the pixels in
+blocks of ``_ACE_ROWS``, centring each block afresh, once to sum the
+blocks' covariance products (the first block's product is the start) and
+once to whiten and score them.  A cube of one block keeps the bytes of the
+whole-cube covariance GEMM; at one BLAS thread the whitening has the bytes
+of the whole-cube product whatever the block count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .sparse import _row_dots
 
 RIDGE_EPSILON = 1e-6       # ridge loading eps * trace/m applied when ill-conditioned
 _COND_LIMIT = 1e12
-_ACE_ROWS = 4096           # pixels per ACE whitening block; the whitened cube is never whole
+_ACE_ROWS = 4096           # pixels per ACE block; no centred or whitened cube exists
 
 
 class SingularStatisticsError(np.linalg.LinAlgError):
@@ -77,9 +79,24 @@ def ace_detect(cube: HsiCube, d: np.ndarray) -> ScoreMap:
     """
     d = _check_signature(cube, d)
     X = cube.pixels()
+    n = X.shape[0]
     mu = X.mean(axis=0)
-    Xc = X - mu
-    sigma = _regularized(Xc.T @ Xc / X.shape[0], "ACE covariance", X.shape)
+    # _ACE_ROWS pixels a block, the remainder riding with the last block: a
+    # block of a few rows (a one-row product is a GEMV) would round
+    # differently from the rows of one whole-cube GEMM.  Each pass centres
+    # its blocks afresh into one buffer, and the whitened blocks share
+    # another, so no centred or whitened cube exists.
+    starts = range(0, max(n - _ACE_ROWS + 1, 1), _ACE_ROWS)
+    blocks = list(zip(starts, [*starts[1:], n]))
+    centred, whitened = np.empty((2, n - starts[-1], X.shape[1]))  # the last block is the tallest
+    sigma = None
+    for start, stop in blocks:
+        Xc = np.subtract(X[start:stop], mu, out=centred[:stop - start])
+        if sigma is None:
+            sigma = Xc.T @ Xc
+        else:
+            sigma += Xc.T @ Xc
+    sigma = _regularized(sigma / n, "ACE covariance", X.shape)
     # Whiten once with Sigma = L L^T: x^T Sigma^-1 y = (L^-1 x) . (L^-1 y),
     # so every pixel costs one row of a GEMM instead of a solve.
     try:
@@ -88,14 +105,10 @@ def ace_detect(cube: HsiCube, d: np.ndarray) -> ScoreMap:
         raise SingularStatisticsError(f"covariance not positive definite: {exc}") from exc
     dw = l_inv @ d
     dd = float(dw @ dw)
-    # Whiten and score _ACE_ROWS pixels at a time, the remainder riding with
-    # the last block: a block of a few rows (a one-row product is a GEMV)
-    # would round differently from the rows of one whole-cube GEMM.
-    n = X.shape[0]
-    starts = range(0, max(n - _ACE_ROWS + 1, 1), _ACE_ROWS)
     scores = np.zeros(n)
-    for start, stop in zip(starts, [*starts[1:], n]):
-        Y = Xc[start:stop] @ l_inv.T
+    for start, stop in blocks:
+        Xc = np.subtract(X[start:stop], mu, out=centred[:stop - start])
+        Y = np.matmul(Xc, l_inv.T, out=whitened[:stop - start])
         num = (Y @ dw) ** 2
         den = dd * _row_dots(Y)                  # a sum of squares: never negative
         np.divide(num, den, out=scores[start:stop], where=den > 0)

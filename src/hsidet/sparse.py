@@ -124,26 +124,28 @@ def _solve_support(Ds, X, lam):
     Otherwise all sign patterns s of each row's stationarity system
     G a = Ds^T x - lam * s are solved in one batched linear solve over the
     stack.  A pattern is consistent when its solution keeps its signs (each
-    a_i s_i >= -1e-12), and only the consistent (row, pattern) pairs are
-    scored, gathered: with a nonsingular G the subproblem is strictly
-    convex, so a row has at most one, more only within the tolerance, where
-    the lower pattern index wins a tie.  A row with none, as when its
+    a_i s_i >= -1e-12), and only consistent patterns are scored: with a
+    nonsingular G the subproblem is strictly convex, so a row has at most
+    one, more only within the tolerance, where the lower pattern index wins
+    a tie.  Each row's first is scored over the whole stack and any others
+    gathered, with their support columns.  A row with none, as when its
     optimum has a zero coefficient, returns an infinite objective.  A stack
     holding a singular Gram matrix is solved row by row, and a row whose own
     Gram matrix is singular by ``lstsq``.  The zero code is no candidate:
     callers keep a support only when its objective is below the row's best
     so far, which starts at the zero code's 0.5 ||x||^2.
 
-    Returns (coefficients (n, size), objectives (n,)).
+    Returns (coefficients (n, size), objectives (n,), residuals (n, bands)),
+    each row's residual x - Ds a at its returned coefficients.
     """
     n, _, size = Ds.shape
     if lam == 0.0:
-        A, objs = np.empty((n, size)), np.empty(n)
+        A, objs, R = np.empty((n, size)), np.empty(n), np.empty_like(X)
         for i in range(n):
             A[i] = np.linalg.lstsq(Ds[i], X[i], rcond=None)[0]
-            r = X[i] - Ds[i] @ A[i]
-            objs[i] = 0.5 * float(r @ r)
-        return A, objs
+            R[i] = X[i] - Ds[i] @ A[i]
+            objs[i] = 0.5 * float(R[i] @ R[i])
+        return A, objs, R
     Dt = Ds.transpose(0, 2, 1)
     G = Dt @ Ds
     b = Dt @ X[:, :, None]                                      # (n, size, 1)
@@ -161,14 +163,27 @@ def _solve_support(Ds, X, lam):
     # Objectives in data space: the Gram-space form cancels catastrophically
     # when a near-singular support yields huge coefficients, letting garbage
     # candidates win.  The spent right-hand sides take the sign products.
-    r, p = np.nonzero(np.multiply(A, signs, out=rhs).min(axis=1) >= -1e-12)
-    a = A[r, :, p]                                              # (pairs, size)
-    R = X[r] - (Ds[r] @ a[:, :, None])[:, :, 0]
-    objs = np.full((n, signs.shape[1]), np.inf)
-    objs[r, p] = 0.5 * _row_dots(R) + lam * np.abs(a).sum(axis=1)
-    j = objs.argmin(axis=1)
+    ok = np.multiply(A, signs, out=rhs).min(axis=1) >= -1e-12  # (n, 2^size)
     rows = np.arange(n)
-    return A[rows, :, j], objs[rows, j]
+    j = ok.argmax(axis=1)               # each row's first consistent pattern
+    a = A[rows, :, j]
+    R = X - (Ds @ a[:, :, None])[:, :, 0]
+    objs = np.full(ok.shape, np.inf)
+    objs[rows, j] = np.where(ok[rows, j], 0.5 * _row_dots(R) + lam * np.abs(a).sum(axis=1),
+                             np.inf)
+    # Only a row with two or more (within the tolerance) scores the rest,
+    # its support columns gathered.
+    ok[rows, j] = False
+    r, p = np.nonzero(ok)
+    if r.size:
+        a2 = A[r, :, p]                                         # (pairs, size)
+        R2 = X[r] - (Ds[r] @ a2[:, :, None])[:, :, 0]
+        objs[r, p] = 0.5 * _row_dots(R2) + lam * np.abs(a2).sum(axis=1)
+        j = objs.argmin(axis=1)
+        won = np.flatnonzero(p == j[r])
+        R[r[won]] = R2[won]
+        a = A[rows, :, j]
+    return a, objs[rows, j], R
 
 
 def _sweep(X, mat, cap, params, mask):
@@ -185,7 +200,7 @@ def _sweep(X, mat, cap, params, mask):
     for size in range(1, min(cap, m) + 1):
         for p in combinations(range(m), size):
             s = atoms[:, p]
-            a, obj = _solve_support(_columns(mat, s), X, params.lam)
+            a, obj, _ = _solve_support(_columns(mat, s), X, params.lam)
             win = obj < best - 1e-15
             best = np.where(win, obj, best)
             support[win, :size], coef[win, :size] = s[win], a[win]
@@ -229,17 +244,14 @@ def _greedy(X, mat, cap, params, mask):
                 break
             live, Xl, M, best, support, j = (v[grow] for v in (live, Xl, M, best, support, j))
         trial = np.concatenate((support, j[:, None]), axis=1)
-        Ds = _columns(mat, trial)
-        a, obj = _solve_support(Ds, Xl, lam)
+        a, obj, res = _solve_support(_columns(mat, trial), Xl, lam)
         accept = obj < best - 1e-15
         if not accept.any():
             break
         if not accept.all():
-            live, Xl, M, trial, a, obj, Ds = (
-                v[accept] for v in (live, Xl, M, trial, a, obj, Ds))
-        R = Xl - (Ds @ a[:, :, None])[:, :, 0]
-        del Ds                                  # spent before the next step's columns exist
-        support, best = trial, obj
+            live, Xl, M, trial, a, obj, res = (
+                v[accept] for v in (live, Xl, M, trial, a, obj, res))
+        support, best, R = trial, obj, res
         out[0][live, :step + 1], out[1][live, :step + 1] = support, a
     return out
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import GroundTruthMask, HsiCube
+from .cube import _BLOCK_VALUES, GroundTruthMask, HsiCube, _pixel_buffer
 
 PLACEMENTS = ("scattered", "clustered")
 
@@ -93,8 +93,9 @@ def generate(spec: SceneSpec) -> tuple[HsiCube, GroundTruthMask, np.ndarray]:
         [_smooth_spectrum(rng, b) for _ in range(spec.n_endmembers)], axis=0
     )
     signature = _smooth_spectrum(rng, b) + 0.4  # offset keeps it off the background hull
-    abundances = rng.dirichlet(np.ones(spec.n_endmembers), size=N)
-    pixels = abundances @ endmembers  # (N, bands)
+    buf = _pixel_buffer(b, h, w)
+    pixels = buf.reshape(N, b)  # a view: the cube is built in its own buffer
+    np.matmul(rng.dirichlet(np.ones(spec.n_endmembers), size=N), endmembers, out=pixels)
 
     if spec.placement == "scattered":
         min_sep = max(3, min(w, h) // 8)
@@ -109,9 +110,14 @@ def generate(spec: SceneSpec) -> tuple[HsiCube, GroundTruthMask, np.ndarray]:
         labels[y, x] = 1
 
     if spec.noise_sigma > 0.0:
-        pixels = pixels + rng.normal(0.0, spec.noise_sigma, pixels.shape)
+        # Drawn a chunk of rows at a time: the same values as one (N, bands)
+        # draw, since the stream is consumed in the same order.
+        step = max(1, _BLOCK_VALUES // b)
+        for start in range(0, N, step):
+            chunk = pixels[start:start + step]
+            chunk += rng.normal(0.0, spec.noise_sigma, chunk.shape)
 
-    cube = HsiCube(pixels.T.reshape(b, h, w))
+    cube = HsiCube._frozen(buf)
     return cube, GroundTruthMask(labels), signature
 
 

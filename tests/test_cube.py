@@ -1,12 +1,13 @@
 """Data model and file I/O round-trip tests."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hsidet as h
-from hsidet.cube import FormatError
+from hsidet.cube import _BLOCK_VALUES, FormatError
 
 
 def random_cube(rng, b=3, height=4, width=5):
@@ -181,6 +182,88 @@ class TestCubeIO:
         cube = h.HsiCube(np.ones((3, 2, 2)))
         h.save_cube(cube, str(tmp_path / "c.hdr"))
         assert (tmp_path / "c.raw").stat().st_size == 2 * 2 * 3 * 4
+
+
+def traced_peak(call):
+    """Bytes ``call()`` allocates at its peak, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def write_raw(tmp_path, data, interleave):
+    """Write (bands, height, width) ``data``, non-finite values and all, as a
+    float32 cube file of ``interleave`` without going through ``HsiCube``."""
+    b, height, width = data.shape
+    hdr = tmp_path / "c.hdr"
+    hdr.write_text(f"width: {width}\nheight: {height}\nbands: {b}\n"
+                   f"dtype: float32\ninterleave: {interleave}\n")
+    order = data.transpose(1, 0, 2) if interleave == "bil" else data
+    np.ascontiguousarray(order, dtype="<f4").tofile(tmp_path / "c.raw")
+    return str(hdr)
+
+
+class TestBlockedCubeIO:
+    """Cube files are read and written a block at a time (rows for bil,
+    bands for bsq) and scanned for non-finite values in blocks of rows.
+    Values, bytes and error texts are those of a whole-cube pass."""
+
+    # (bands, height, width): 200 x 23 x 37 is three bsq band blocks of
+    # 77, 77 and 46 and three bil row blocks of 8, 8 and 7; 19 x 90 x 740
+    # has more pixels than a block holds, so its bsq blocks are the 8-band
+    # floor (8, 8, 3), and its bil blocks 22 of 4 rows and one of 2.
+    RAGGED = [(200, 23, 37), (19, 90, 740)]
+
+    @pytest.mark.parametrize("shape", RAGGED, ids=["bands", "floor"])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_ragged_blocks_round_trip(self, tmp_path, shape, interleave):
+        b, height, width = shape
+        band_step = max(8, _BLOCK_VALUES // (height * width))
+        row_step = max(1, _BLOCK_VALUES // (b * width))
+        assert b > band_step and b % band_step and height > row_step and height % row_step
+        data = random_cube(np.random.default_rng(8), b, height, width).data
+        h.save_cube(h.HsiCube(data), str(tmp_path / "c.hdr"), interleave=interleave)
+        order = data.transpose(1, 0, 2) if interleave == "bil" else data
+        expected = np.ascontiguousarray(order, dtype="<f4").tobytes()
+        assert (tmp_path / "c.raw").read_bytes() == expected
+        assert np.array_equal(h.load_cube(str(tmp_path / "c.hdr")).data, data)
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_first_non_finite_in_band_order_is_named_across_blocks(self, tmp_path, interleave):
+        # The scan of HsiCube and of every load runs over blocks of 8 rows:
+        # it meets band 150 at y=0 in its first block and band 3 at y=20 in
+        # its third.  Band 3 is first in (band, y, x) order.
+        data = np.ones((200, 23, 37))
+        data[150, 0, 5] = np.nan
+        data[3, 20, 30] = np.inf
+        data[3, 21, 0] = np.nan
+        message = "non-finite value at band=3, y=20, x=30"
+        with pytest.raises(FormatError, match=rf"c\.raw: {message}$"):
+            h.load_cube(write_raw(tmp_path, data, interleave))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            h.HsiCube(data)
+
+    # 128 x 128 x 100: the cube is 12.5 MiB.  A load holds the cube it
+    # returns and one block (a bsq group of 8 bands is 5% of the cube); a
+    # save holds one float32 block.  A whole-file read, its float64 copy and
+    # its finiteness mask peak at 1.6 cubes, a whole-cube float32 copy for
+    # the save at half a cube.
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_load_holds_the_cube_and_one_block(self, tmp_path, interleave):
+        cube = random_cube(np.random.default_rng(9), 100, 128, 128)
+        h.save_cube(cube, str(tmp_path / "c.hdr"), interleave)
+        peak = traced_peak(lambda: h.load_cube(str(tmp_path / "c.hdr")))
+        assert peak / cube.data.nbytes < 1.1
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_save_holds_one_block(self, tmp_path, interleave):
+        cube = random_cube(np.random.default_rng(9), 100, 128, 128)
+        peak = traced_peak(lambda: h.save_cube(cube, str(tmp_path / "c.hdr"), interleave))
+        assert peak / cube.data.nbytes < 0.1
 
 
 class TestScoreMapIO:

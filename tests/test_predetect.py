@@ -138,8 +138,11 @@ class TestAce:
 
 
 # Scores ACE on cubes of 60 bands, block by block and by the whole-cube
-# formula it replaced, in one interpreter; prints one line per cube:
-# name, byte-identical or not, and the largest relative difference.
+# whitening formula it replaced, in one interpreter; prints one line per
+# cube: name, byte-identical or not, and the largest relative difference.
+# The reference's covariance is the sum of the blocks' products, first
+# block first, as ace_detect forms it: a cube of two or more blocks has
+# other bytes than one whole-cube GEMM.
 _BLOCKED_ACE = """
 import numpy as np
 import hsidet as h
@@ -148,9 +151,15 @@ from hsidet.sparse import _row_dots
 
 def whole_cube_ace(cube, d):
     X = cube.pixels()
+    n = X.shape[0]
     mu = X.mean(axis=0)
     Xc = X - mu
-    sigma = predetect._regularized(Xc.T @ Xc / X.shape[0], "ACE covariance", X.shape)
+    cuts = [*range(0, max(n - B + 1, 1), B)][1:]
+    products = [c.T @ c for c in np.split(Xc, cuts)]
+    sigma = products[0]
+    for product in products[1:]:
+        sigma += product
+    sigma = predetect._regularized(sigma / n, "ACE covariance", X.shape)
     l_inv = np.linalg.inv(np.linalg.cholesky(sigma))
     Y = Xc @ l_inv.T
     dw = l_inv @ d
@@ -195,11 +204,12 @@ def test_blocked_ace_matches_the_whole_cube_formula(threads):
             assert rel < 1e-13, (name, rel)
 
 
-def test_ace_holds_one_centred_copy_beside_the_cube():
-    # 128x128 pixels are four whitening blocks; a whole whitened copy (the
-    # old formula) peaks at about 2.1 cubes.
+def test_ace_holds_no_centred_copy_of_the_cube():
+    # 256x256 pixels are sixteen blocks.  ACE holds a centred and a whitened
+    # block, an eighth of the cube; a centred copy of the whole cube (the old
+    # covariance pass) peaks at over one cube.
     rng = np.random.default_rng(2)
-    cube = h.HsiCube(rng.random((60, 128, 128)) + 0.1)
+    cube = h.HsiCube(rng.random((60, 256, 256)) + 0.1)
     d = rng.random(60) + 0.1
     tracemalloc.start()
     try:
@@ -207,7 +217,7 @@ def test_ace_holds_one_centred_copy_beside_the_cube():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / cube.data.nbytes < 1.75
+    assert peak / cube.data.nbytes < 0.25
 
 
 class TestRidgeLoading:

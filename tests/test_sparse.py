@@ -431,7 +431,7 @@ class TestSolveSupport:
         # its sign.  The support scores inf, and the sweep keeps {0}.
         D = np.eye(3)[:, :2]
         x = 2.0 * D[:, 0]
-        _, obj = hsparse._solve_support(D[None], x[None], 0.1)
+        _, obj, _ = hsparse._solve_support(D[None], x[None], 0.1)
         assert obj.tolist() == [np.inf]
         code = h.sparse_code(x, h.Dictionary(D), h.SolverParams(lam=0.1, max_nonzeros=2))
         assert code.indices.tolist() == [0] and code.coefficients.tolist() == [1.9]
@@ -441,9 +441,32 @@ class TestSolveSupport:
         # |a| = 1e-13, inside the -1e-12 tolerance of either sign, and equal
         # objectives: pattern 0 (s = -1, so a = +lam) wins.
         D = np.eye(2)[:, :1]
-        a, obj = hsparse._solve_support(D[None], np.array([[0.0, 1.0]]), 1e-13)
+        a, obj, _ = hsparse._solve_support(D[None], np.array([[0.0, 1.0]]), 1e-13)
         assert a.tolist() == [[1e-13]]
         assert obj.tolist() == [0.5]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_residuals_are_at_the_returned_coefficients(self, lam):
+        rng = np.random.default_rng(52)
+        n, bands, size = 40, 12, 3
+        Ds = np.ascontiguousarray(rng.normal(size=(n, size, bands))).transpose(0, 2, 1)
+        X = rng.normal(size=(n, bands))
+        a, obj, R = hsparse._solve_support(Ds, X, lam)
+        assert np.allclose(R, X - (Ds @ a[:, :, None])[:, :, 0], rtol=0.0, atol=1e-12)
+        scored = np.isfinite(obj)
+        assert 0 < scored.sum() and np.allclose(
+            obj[scored], 0.5 * (R[scored] ** 2).sum(axis=1) + lam * np.abs(a[scored]).sum(axis=1))
+
+    def test_a_second_consistent_pattern_brings_its_residual(self):
+        # Row 0: x . d = 5e-14 is within lam = 1e-13 of zero, so both sign
+        # patterns keep their signs inside the tolerance, and pattern 1
+        # (a = 5e-14 - lam) has the lower objective: the gathered pattern
+        # wins, with its own residual.  Row 1 has one consistent pattern.
+        D = np.eye(2)[:, :1]
+        X = np.array([[5e-14, 0.0], [2.0, 0.0]])
+        a, obj, R = hsparse._solve_support(np.stack([D, D]), X, 1e-13)
+        assert a.tolist() == [[5e-14 - 1e-13], [2.0 - 1e-13]]
+        assert R.tolist() == [[5e-14 - (5e-14 - 1e-13), 0.0], [2.0 - (2.0 - 1e-13), 0.0]]
 
     def test_peak_follows_the_coefficient_block(self):
         # 32 rows of 100 bands at size 8: solving every pattern needs the

@@ -1,5 +1,8 @@
 """Synthetic scene generator properties."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,7 +94,36 @@ class TestGenerate:
             h.SceneSpec(**{field: value})
 
 
+    def test_cube_is_built_in_its_own_buffer(self):
+        # 128 x 128 x 100 (12.5 MiB): the pixels are mixed into the cube's
+        # buffer and the noise is added a chunk of rows at a time.  A whole
+        # mixed copy, a whole noise draw, their sum and the cube's own copy
+        # peak at over two cubes.
+        spec = h.SceneSpec(width=128, height=128, bands=100, n_targets=16, seed=3)
+        tracemalloc.start()
+        try:
+            cube = h.generate(spec)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / cube.data.nbytes < 1.1
+
+
 class TestPresets:
+    # The sha256 of each preset cube's (bands, height, width) float64 bytes:
+    # any change to the scene recipe, its RNG draw order or its arithmetic
+    # moves them.  "large" draws its noise in three chunks, the last one short.
+    DIGESTS = {
+        "sparse-targets": "1b3cea102aa5f77f99f089c02e6aeb3e605319796a8a58edac229dc0af67ee2c",
+        "dense-targets": "4f438bc34df6319b5e95db1691edf63402267175b40133ac9a33d8fb4e393f55",
+        "large": "523d171670386e845ff6cb45af6029b67599ec0de14921d4f8a56142c6a05d5f",
+    }
+
+    @pytest.mark.parametrize("name", DIGESTS)
+    def test_preset_cube_keeps_its_bytes(self, name):
+        cube = h.generate(PRESETS[name])[0]
+        assert hashlib.sha256(cube.data.tobytes()).hexdigest() == self.DIGESTS[name]
+
     def test_expected_presets_present(self):
         assert set(PRESETS) == {"sparse-targets", "dense-targets", "large"}
 
