@@ -21,8 +21,8 @@ import numpy as np
 from . import dictlearn, predetect
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
-from .hierdict import NORM_TOLERANCE, WindowSpec, check_rings, window_rings
-from .sparse import SolverParams, _row_dots, block_residuals, code_block
+from .hierdict import WindowSpec, check_rings, window_rings
+from .sparse import SolverParams, _unit_rows, block_residuals, code_block
 
 
 _TILE = 16  # side of the square image tiles whose pixels share one pool
@@ -38,34 +38,33 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
     array, the pixels' code block in pool columns from
     ``sparse.code_block``).  With no window every pixel is one block against
     the shared atoms.  Otherwise each ``_TILE`` x ``_TILE`` tile, cut short
-    at the right and bottom edges, is a block whose pool is [shared |
-    unit-norm nonzero pixels of the tile's rectangle widened by
-    ``outer // 2`` and clamped], in row-major order.  An empty or
-    all-zero-norm ring raises ``ValueError`` naming the first such pixel in
-    row-major order, before any pixel is coded.
+    at the right and bottom edges, is a block whose pool is [shared | atoms
+    of the tile's rectangle widened by ``outer // 2`` and clamped], in
+    row-major order.  A ring that holds no atom raises ``ValueError`` naming
+    the first such pixel in row-major order, before any pixel is coded.
     """
     if shared.n_atoms == 0 and window is None:
         raise ValueError("both background dictionaries are empty")
     if shared.n_atoms:
         if shared.bands != cube.bands:
             raise ValueError(f"band mismatch: shared {shared.bands} vs cube {cube.bands}")
-        if np.max(np.abs(np.linalg.norm(shared.columns, axis=0) - 1.0)) > NORM_TOLERANCE:
+        if np.max(np.abs(np.linalg.norm(shared.columns, axis=0) - 1.0)) > 1e-9:
             raise ValueError("shared dictionary is not unit-norm")
     pixels = cube.pixels()
     if window is None:
         yield slice(None), pixels, shared.columns, code_block(pixels, shared.columns, params)
         return
     height, width = cube.height, cube.width
-    nonzero = (_row_dots(pixels) > 0.0).reshape(height, width)
-    check_rings(nonzero, range(height), range(width), window)
+    rows = pixels.reshape(height, width, -1)  # atoms made a row at a time, not a whole cube
+    check_rings(np.array([_unit_rows(row)[0] for row in rows]), window)
     index = np.arange(height * width).reshape(height, width)
     for y in range(0, height, _TILE):
         for x in range(0, width, _TILE):
             tile = index[y:y + _TILE, x:x + _TILE]
-            unit, rings = window_rings(pixels, nonzero, range(y, y + tile.shape[0]),
-                                       range(x, x + tile.shape[1]), window)
+            unit, ring, kept = window_rings(cube, range(y, y + tile.shape[0]),
+                                            range(x, x + tile.shape[1]), window)
             pool = np.hstack([shared.columns, unit])
-            masks = np.hstack([np.ones((tile.size, shared.n_atoms), dtype=bool), rings])
+            masks = np.hstack([np.ones((tile.size, shared.n_atoms), dtype=bool), ring[:, kept]])
             pixel = tile.ravel()
             X = pixels[pixel]  # the tile's spectra, gathered into a C-contiguous stack
             yield pixel, X, pool, code_block(X, pool, params, masks)

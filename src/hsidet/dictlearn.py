@@ -3,8 +3,9 @@
 Classical online alternation: each mini-batch is sparse-coded against the
 current dictionary, the codes update accumulated sufficient statistics
 (A = sum a a^T, B = sum x a^T), and every atom is refreshed by block
-coordinate descent on those statistics, then renormalized to unit length.
-Atoms that are never selected across the whole run are replaced by the
+coordinate descent on those statistics.  Every atom is made unit-norm by the
+one atom rule (``sparse._unit_rows``) and never renormalized.  Atoms that
+are never selected across the whole run are replaced by the
 worst-reconstructed training sample.  Atoms are refreshed once per
 mini-batch (Mairal, Bach, Ponce & Sapiro 2010, JMLR, sec. 3.4) by a Python
 loop, so a batch holds max(32, k // 8) samples for k atoms: derived, not set.
@@ -16,14 +17,13 @@ residual taken from the mini-batch's code block (``sparse.block_residuals``).
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cube import Dictionary
-from .sparse import MAX_NONZEROS, SolverParams, _row_dots, block_residuals, code_block
+from .sparse import MAX_NONZEROS, SolverParams, _unit_rows, block_residuals, code_block
 
 
 @dataclass(frozen=True)
@@ -49,63 +49,56 @@ class OdlParams:
         SolverParams(lam=self.lam)  # the solver's own checks of lam
 
 
-def _as_sample_matrix(samples) -> tuple[np.ndarray, np.ndarray]:
-    """``samples`` as a C-contiguous float64 (n, bands) stack, and each row's norm sqrt(x @ x)."""
+def _initial_atoms(samples, n_atoms: int, seed: int):
+    """``samples`` as a C-contiguous float64 (n, bands) stack X, the mask of
+    its rows that are atoms (``sparse._unit_rows``), and the seed atoms: a
+    without-replacement draw of at most ``n_atoms`` of those rows' atoms, as
+    a fresh C-contiguous (bands, atoms) array."""
     X = np.ascontiguousarray(samples, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a nonempty (n_samples, bands) array")
     if not np.all(np.isfinite(X)):
         raise ValueError("training set contains non-finite values")
-    norms = np.sqrt(_row_dots(X))
-    if np.all(norms == 0.0):
+    keep, atoms = _unit_rows(X)
+    if not keep.any():
         raise ValueError("training set contains only zero samples")
-    return X, norms
-
-
-def _initial_atoms(X: np.ndarray, norms: np.ndarray, n_atoms: int, seed: int) -> np.ndarray:
-    """Seed atoms: a without-replacement draw of at most ``n_atoms`` nonzero
-    rows of X (norms their norms), one unit-norm atom per row, as a fresh
-    C-contiguous (bands, atoms) array."""
-    nonzero = np.flatnonzero(norms > 0.0)
     rng = np.random.default_rng(seed)
-    picks = nonzero[rng.permutation(len(nonzero))[:n_atoms]]
-    return np.ascontiguousarray((X[picks] / norms[picks, None]).T)
+    return X, keep, np.ascontiguousarray(atoms[rng.permutation(len(atoms))[:n_atoms]].T)
 
 
 def _update_atoms(D, A, B, coupled) -> None:
     """One block-coordinate-descent pass over the atoms on the accumulated
-    statistics (Mairal et al. 2010, Alg. 2), each refreshed atom renormalized.
+    statistics (Mairal et al. 2010, Alg. 2), each update that is an atom
+    (``sparse._unit_rows``) replacing its atom by its own.
 
     An atom that has never shared a code has a column of A that is zero off
     the diagonal, so D @ A[:, j] is exactly D[:, j] * A[j, j] and its update
     reads no other atom: all such atoms are refreshed in one vector step.
     Coupled atoms read each other and are refreshed one at a time in index
-    order.  Norms are square roots of dot products of contiguous vectors,
-    as ``np.linalg.norm`` forms them.
+    order.
     """
     diag = np.diagonal(A)
     active = diag > 1e-12
     single = np.flatnonzero(active & ~coupled)
     if single.size:
         a = diag[single]
-        U = np.ascontiguousarray((D[:, single] + (B[:, single] - D[:, single] * a) / a).T)
-        norms = np.sqrt(_row_dots(U))
-        keep = norms > 0.0
-        D[:, single[keep]] = (U[keep] / norms[keep, None]).T
+        keep, U = _unit_rows(np.ascontiguousarray(
+            (D[:, single] + (B[:, single] - D[:, single] * a) / a).T))
+        D[:, single[keep]] = U.T
     for j in np.flatnonzero(active & coupled):
-        u = D[:, j] + (B[:, j] - D @ A[:, j]) / A[j, j]
-        norm = math.sqrt(u @ u)
-        if norm > 0.0:
-            D[:, j] = u / norm
+        keep, u = _unit_rows(D[:, j] + (B[:, j] - D @ A[:, j]) / A[j, j])
+        if keep:
+            D[:, j] = u
 
 
 def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -> Dictionary:
     """Learn a unit-norm dictionary from spectra; deterministic given the seed.
 
-    A draw that holds every nonzero sample is the dictionary, with no epochs:
-    each sample codes as its own atom alone, whose refresh returns it up to
-    rounding.  At the default and preset configs D_t is such a draw, the
-    unit-norm CEM-selected pixels in draw order.
+    Only samples that are atoms (``sparse._unit_rows``) are drawn.  A draw
+    that holds all of them is the dictionary, with no epochs: each sample
+    codes as its own atom alone, whose refresh returns it up to rounding.  At
+    the default and preset configs D_t is such a draw, the unit-norm
+    CEM-selected pixels in draw order.
 
     Otherwise an epoch codes mini-batches of max(32, k // 8) samples for the
     k atoms drawn, a size derived and not set: atoms are refreshed once per
@@ -115,11 +108,10 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
     If ``objective_trace`` is a list it receives the mean surrogate objective
     of each epoch; the objective is only computed then.
     """
-    X, norms = _as_sample_matrix(samples)
+    X, keep, D = _initial_atoms(samples, params.n_atoms, params.seed)
     n, m = X.shape
-    D = _initial_atoms(X, norms, params.n_atoms, params.seed)
     k = D.shape[1]
-    if k == np.count_nonzero(norms):
+    if k == np.count_nonzero(keep):
         return Dictionary(D)
     size = max(32, k // 8)
     rng = np.random.default_rng(params.seed + 1)
@@ -155,14 +147,12 @@ def odl_learn(samples, params: OdlParams, objective_trace: list | None = None) -
 
     dead = np.flatnonzero(~used)
     if dead.size:
-        # Replace dead atoms with the worst-reconstructed (largest-residual)
-        # training samples, normalized, in that order; a zero sample gives
-        # way to the worst-reconstructed nonzero one.
+        # Replace dead atoms with the atoms of the worst-reconstructed
+        # (largest-residual) training samples, in that order; a sample that
+        # is no atom gives way to the worst-reconstructed one that is.
         residuals = block_residuals(X, D, *code_block(X, D, solver))
         worst = np.argsort(-residuals)
         picks = worst[:dead.size]
-        picks[norms[picks] == 0.0] = worst[np.argmax(norms[worst] > 0.0)]
-        D[:, dead] = (X[picks] / norms[picks, None]).T
-
-    D /= np.linalg.norm(D, axis=0)
+        picks[~keep[picks]] = worst[np.argmax(keep[worst])]
+        D[:, dead] = _unit_rows(X[picks])[1].T
     return Dictionary(D)

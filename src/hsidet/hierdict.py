@@ -2,12 +2,13 @@
 
 Every pixel inside the outer window of a dual concentric sliding window but
 outside its inner window contributes its spectrum as one atom.  Windows are
-clamped at image borders (no padding), zero-norm pixels (x @ x == 0, an
-underflowing one included) are dropped, and every atom is unit-norm.  One
-rule (``window_rings``) gathers and normalizes the ring pool of one pixel or
-of a whole image tile, that pool alone; one box-sum rule (``check_rings``)
-names the first pixel whose ring is empty.  ``detector._ring_codes`` builds
-from it the [global atoms | ring] pools, one per 16x16 tile.
+clamped at image borders (no padding), and atoms are made by the one atom
+rule of every dictionary (``sparse._unit_rows``), which drops zero pixels
+and those whose squared norm is subnormal.  One rule (``window_rings``)
+gathers the ring pool of one pixel or of a whole image tile from that pool's
+window alone; one box-sum rule (``check_rings``) names the first pixel of an
+image whose ring holds no atom.  ``detector._ring_codes`` builds from it the
+[global atoms | ring] pools, one per 16x16 tile.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import Dictionary, HsiCube
-from .sparse import _row_dots
-
-NORM_TOLERANCE = 1e-9
+from .sparse import _unit_rows
 
 
 @dataclass(frozen=True)
@@ -43,78 +42,70 @@ class WindowSpec:
 
 
 def normalize_atoms(D: Dictionary) -> Dictionary:
-    """Divide each column by its Euclidean norm (idempotent); a ``Dictionary``
-    has no zero column to divide by."""
-    return Dictionary(D.columns / np.linalg.norm(D.columns, axis=0))
+    """The atoms (``sparse._unit_rows``) of D's columns, in order."""
+    return Dictionary(_unit_rows(np.ascontiguousarray(D.columns.T))[1].T)
 
 
-def window_rings(pixels: np.ndarray, nonzero: np.ndarray, ys: range, xs: range,
-                 w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The dual-window rings of the pixels of one tile: the image rows ``ys``
-    by the columns ``xs``, two ranges of step 1, of the (n_pixels, bands)
-    ``pixels`` whose (height, width) nonzero-norm mask is ``nonzero``.
-
-    Returns the pool, the nonzero-norm pixels of the tile's rectangle widened
-    by ``outer // 2`` and clamped, in row-major order, gathered and divided
-    in place by their own norms into the columns of a (bands, pool) array;
-    and a (tile pixels, pool) mask whose row for (x, y), in row-major order,
-    is True on its ring: its clamped outer window minus its clamped inner
-    window.  A ring may be empty here; ``check_rings`` names such a pixel."""
-    height, width = nonzero.shape
+def window_rings(cube: HsiCube, ys: range, xs: range,
+                 w: WindowSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dual-window rings of one tile of ``cube``, the image rows ``ys``
+    by the columns ``xs`` (ranges of step 1), read from the tile's window
+    alone: its rectangle widened by ``outer // 2`` and clamped.  Returns the
+    pool, the atoms of the window's pixels in row-major order as the columns
+    of a (bands, pool) array; the (tile pixels, window pixels) mask whose row
+    for (x, y), in row-major order, is True on its ring, its clamped outer
+    window minus its clamped inner window; and the window's mask ``kept`` of
+    atoms, so that ``ring[:, kept]`` indexes the pool."""
     half = w.outer // 2
-    rows = np.arange(max(0, ys[0] - half), min(height, ys[-1] + half + 1))
-    cols = np.arange(max(0, xs[0] - half), min(width, xs[-1] + half + 1))
+    rows = np.arange(max(0, ys[0] - half), min(cube.height, ys[-1] + half + 1))
+    cols = np.arange(max(0, xs[0] - half), min(cube.width, xs[-1] + half + 1))
     dy = np.abs(rows[None, :] - np.asarray(ys)[:, None])             # (tile row, pool row)
     dx = np.abs(cols[None, :] - np.asarray(xs)[:, None])             # (tile column, pool column)
     inner = (dy <= w.inner // 2)[:, None, :, None] & (dx <= w.inner // 2)[None, :, None, :]
     outer = (dy <= half)[:, None, :, None] & (dx <= half)[None, :, None, :]
     ring = (outer & ~inner).reshape(len(ys) * len(xs), rows.size * cols.size)
-    kept = nonzero[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1].ravel()
-    unit = pixels[(rows[:, None] * width + cols[None, :]).ravel()[kept]]
-    unit /= np.linalg.norm(unit, axis=1)[:, None]
-    return unit.T, ring[:, kept]
+    kept, unit = _unit_rows(cube.pixels()[(rows[:, None] * cube.width + cols[None, :]).ravel()])
+    return unit.T, ring, kept
 
 
-def _window_counts(mask: np.ndarray, ys: range, xs: range, half: int) -> np.ndarray:
-    """(len(ys), len(xs)) counts of the True pixels of ``mask`` in the
-    clamped square window of side 2 * half + 1 around each pixel (x, y)."""
+def _window_counts(mask: np.ndarray, half: int) -> np.ndarray:
+    """Counts of the True pixels of the (height, width) ``mask`` in the
+    clamped square window of side 2 * half + 1 around each pixel."""
     height, width = mask.shape
     table = np.zeros((height + 1, width + 1), dtype=np.intp)
     table[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
-    ys, xs = np.asarray(ys)[:, None], np.asarray(xs)
+    ys, xs = np.arange(height)[:, None], np.arange(width)
     y0, y1 = np.clip(ys - half, 0, height), np.clip(ys + half + 1, 0, height)
     x0, x1 = np.clip(xs - half, 0, width), np.clip(xs + half + 1, 0, width)
     return table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
 
 
-def check_rings(nonzero: np.ndarray, ys: range, xs: range, w: WindowSpec) -> None:
-    """Raise ``ValueError`` naming the first pixel (x, y), y in ``ys`` and x
-    in ``xs``, in row-major order, whose ring is empty or holds only
-    zero-norm pixels.  A ring's count is its outer window's minus its inner
-    window's, both box sums over ``nonzero``."""
-    def ring_counts(mask):
-        return (_window_counts(mask, ys, xs, w.outer // 2)
-                - _window_counts(mask, ys, xs, w.inner // 2))
+def _ring_error(x: int, y: int, empty: bool) -> ValueError:
+    """The error naming pixel (x, y), whose ring is empty or holds no atom."""
+    return ValueError(f"empty local window ring at ({x}, {y})" if empty
+                      else f"all local window pixels at ({x}, {y}) have zero norm")
 
-    bad = ring_counts(nonzero) == 0
+
+def check_rings(atoms: np.ndarray, w: WindowSpec) -> None:
+    """Raise ``ValueError`` naming the first pixel (x, y), in row-major
+    order, whose ring holds no atom, given the image's (height, width) mask
+    of ``atoms``.  A ring's count is its outer window's minus its inner
+    window's, both box sums."""
+    def ring_counts(mask):
+        return _window_counts(mask, w.outer // 2) - _window_counts(mask, w.inner // 2)
+
+    bad = ring_counts(atoms) == 0
     if bad.any():
-        i, j = np.unravel_index(int(bad.argmax()), bad.shape)
-        x, y = xs[j], ys[i]
-        if ring_counts(np.ones_like(nonzero))[i, j] == 0:
-            raise ValueError(f"empty local window ring at ({x}, {y})")
-        raise ValueError(f"all local window pixels at ({x}, {y}) have zero norm")
+        y, x = np.unravel_index(int(bad.argmax()), bad.shape)
+        raise _ring_error(x, y, ring_counts(np.ones_like(atoms))[y, x] == 0)
 
 
 def local_background(cube: HsiCube, x: int, y: int, w: WindowSpec) -> Dictionary:
-    """Local background atoms for pixel (x, y), a 1x1 tile: the clamped
-    outer-minus-inner ring in row-major order, zero-norm pixels dropped,
-    columns unit-norm."""
+    """Local background atoms for pixel (x, y), a 1x1 tile read from its
+    clamped outer window alone: the atoms of its ring in row-major order."""
     if not (0 <= x < cube.width and 0 <= y < cube.height):
         raise IndexError(f"pixel ({x}, {y}) outside {cube.width}x{cube.height} image")
-    pixels = cube.pixels()
-    nonzero = (_row_dots(pixels) > 0.0).reshape(cube.height, cube.width)
-    ys, xs = range(y, y + 1), range(x, x + 1)
-    check_rings(nonzero, ys, xs, w)
-    unit, rings = window_rings(pixels, nonzero, ys, xs, w)
-    return Dictionary(unit[:, rings[0]])
-
+    unit, ring, kept = window_rings(cube, range(y, y + 1), range(x, x + 1), w)
+    if not ring[0, kept].any():
+        raise _ring_error(x, y, not ring.any())
+    return Dictionary(unit[:, ring[0, kept]])

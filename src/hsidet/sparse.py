@@ -20,9 +20,9 @@ coefficients.
 
 Ties go to the lowest column on both paths: the sweep keeps the first
 support at equal objectives, and greedy admission takes the lowest column
-whose correlation is within ``_TIE_RTOL`` of the row's largest.  A
-dictionary can hold one spectrum twice (a learned atom and the pixel it came
-from); this rule, not rounding, picks the copy a code uses.
+whose correlation is within ``_TIE_RTOL`` of the row's largest.  An STD
+pool can hold a drawn D_t atom twice, as an atom and as its pixel's ring
+column, the same bytes (``_unit_rows``); this rule picks the copy a code uses.
 
 A stack's codes are one block (``code_block``, the one stacked entry):
 (n, cap) atom indices, each row's ascending and then -1 padding, and (n,
@@ -37,10 +37,11 @@ spectrum and codes it as a stack of one row, builds a ``SparseCode``.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, isfinite
+from math import comb, isfinite, sqrt
 
 import numpy as np
 
@@ -106,6 +107,24 @@ def _sign_patterns(size: int) -> np.ndarray:
 def _row_dots(X):
     """Squared norm of each row of X, each as the BLAS dot ``x @ x`` gives it."""
     return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(X):
+    """The one atom rule of every dictionary: a spectrum x is an atom iff
+    x @ x (as ``_row_dots`` forms it) is at least the smallest normal
+    float64, and its atom is x / sqrt(x @ x).  Returns the mask of the rows
+    of the (n, bands) stack X that are atoms and their atoms, a fresh stack;
+    for one spectrum X, in scalar steps for ODL's loop over coupled atoms,
+    whether it is an atom and its atom or None."""
+    tiny = sys.float_info.min
+    if X.ndim == 1:
+        dot = X @ X
+        return (True, X / sqrt(dot)) if dot >= tiny else (False, None)
+    dots = _row_dots(X)
+    keep = dots >= tiny
+    atoms = X[keep]
+    atoms /= np.sqrt(dots[keep])[:, None]
+    return keep, atoms
 
 
 def _columns(mat, supports):

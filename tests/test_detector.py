@@ -397,25 +397,54 @@ class TestWindowedCoder:
             std_map(cube, D, window, h.SolverParams())
 
     def test_tiny_pixels_follow_the_nonzero_rule_in_a_ring_pool(self):
-        # A pixel at 1e-170 in every band has a norm that underflows to 0,
-        # so the pool drops it as it drops a zero pixel; one at 1e-160 has a
-        # subnormal squared norm, so the pool keeps it, divided by its own
-        # norm.  The 7x5 image is one tile whose pool is the whole image.
+        # A pixel at 1e-170 in every band has a squared norm that underflows
+        # to 0, and one at 1e-160 a subnormal squared norm: neither is an
+        # atom, so the pool drops both as it drops a zero pixel.  One at
+        # 1e-150 has a normal squared norm, so the pool keeps it, divided by
+        # its own norm, a unit column.  The 7x5 image is one tile whose pool
+        # is the whole image.
         rng = np.random.default_rng(311)
         data = rng.random((6, 5, 7)) + 0.05
-        data[:, 1, 2], data[:, 3, 4] = 1e-170, 1e-160
+        data[:, 1, 2], data[:, 3, 4], data[:, 2, 0] = 1e-170, 1e-160, 1e-150
         cube = h.HsiCube(data)
         D_g = unit_atoms(rng, 6, 3)
         window, params = h.WindowSpec(3, 1), h.SolverParams(lam=0.05, max_nonzeros=2)
         ((_, _, pool, _),) = detector._ring_codes(cube, D_g, window, params)
-        assert pool.shape == (6, 3 + 5 * 7 - 1)
-        tiny = data[:, 3, 4]  # pool column 3 + (3 * 7 + 4) - 1: (2, 1) is dropped
-        assert pool[:, 27].tobytes() == (tiny / np.linalg.norm(tiny)).tobytes()
-        data[:, 1, 2] = 0.0
+        assert pool.shape == (6, 3 + 5 * 7 - 2)
+        small = data[:, 2, 0]  # pool column 3 + (2 * 7 + 0) - 1: (2, 1) is dropped
+        assert pool[:, 16].tobytes() == (small / np.sqrt(small @ small)).tobytes()
+        assert abs(np.linalg.norm(pool[:, 16]) - 1.0) < 1e-12
+        data[:, 1, 2] = data[:, 3, 4] = 0.0
         ((_, _, zeroed, _),) = detector._ring_codes(h.HsiCube(data), D_g, window, params)
         assert pool.tobytes() == zeroed.tobytes()
         r_b = h.residual_maps(cube, D_g, D_g, window, params)[1]
         assert r_b.values.tobytes() == per_pixel_background(cube, D_g, window, params).tobytes()
+
+    @pytest.mark.parametrize("preset", list(h.PRESETS))
+    def test_a_drawn_target_atom_is_its_pixels_ring_column(self, preset):
+        # At a preset config D_t is a draw of CEM-selected pixels, and each
+        # such pixel is also a column of its tile's ring pool.  One atom rule
+        # makes both, so the two are the same bytes; every atom of the ring
+        # pools, of the drawn D_t and of the learned D_b is unit-norm to 1e-12.
+        cube, _, signature = h.generate(h.PRESETS[preset])
+        fit = h.Fit(cube, signature, h.preset_config(preset))
+        pixels = cube.pixels()
+        units = pixels / np.linalg.norm(pixels, axis=1, keepdims=True)
+        drawn = {int(np.argmin(np.abs(units - atom).max(axis=1))): atom.tobytes()
+                 for atom in fit.D_t.columns.T}
+        assert len(drawn) == fit.D_t.n_atoms
+        empty = h.Dictionary(np.empty((cube.bands, 0)))
+        found = 0
+        for pixel, _, pool, _ in detector._ring_codes(cube, empty, fit.config.window,
+                                                      fit.params):
+            assert np.max(np.abs(np.linalg.norm(pool, axis=0) - 1.0)) < 1e-12
+            columns = {column.tobytes() for column in pool.T}
+            for i in drawn.keys() & set(pixel.tolist()):
+                assert drawn[i] in columns
+                found += 1
+        assert found == fit.D_t.n_atoms
+        for D in (fit.D_t, fit.D_b):
+            assert np.max(np.abs(np.linalg.norm(D.columns, axis=0) - 1.0)) < 1e-12
 
     def test_ring_pass_holds_no_cube_sized_array(self):
         # Each tile's pool is gathered and normalized on its own, so W-SHR's

@@ -24,8 +24,7 @@ def subspace_samples(rng, n=60, bands=10, dim=3):
 
 def initial_dictionary(samples, n_atoms, seed):
     """The seed atoms ``odl_learn`` starts from, as a dictionary."""
-    return h.Dictionary(dictlearn._initial_atoms(*dictlearn._as_sample_matrix(samples),
-                                                 n_atoms, seed))
+    return h.Dictionary(dictlearn._initial_atoms(samples, n_atoms, seed)[2])
 
 
 def dense_outer_odl(samples, params):
@@ -77,7 +76,6 @@ def dense_outer_odl(samples, params):
         for pos, j in enumerate(dead):
             repl = X[worst[pos]]
             D[:, j] = repl / np.linalg.norm(repl)
-    D /= np.linalg.norm(D, axis=0)
     return h.Dictionary(D), trace, dead.size
 
 
@@ -108,7 +106,7 @@ class TestOdlLearn:
         rng = np.random.default_rng(0)
         X = rng.random((40, 8)) + 0.1
         D = h.odl_learn(X, h.OdlParams(n_atoms=6, seed=0))
-        assert np.max(np.abs(np.linalg.norm(D.columns, axis=0) - 1.0)) < 1e-9
+        assert np.max(np.abs(np.linalg.norm(D.columns, axis=0) - 1.0)) < 1e-12
 
     def test_seeded_determinism_bit_exact(self):
         rng = np.random.default_rng(1)
@@ -194,6 +192,24 @@ class TestOdlLearn:
     def test_zero_only_training_set_rejected(self):
         with pytest.raises(ValueError):
             h.odl_learn(np.zeros((5, 4)), h.OdlParams(n_atoms=2))
+
+    def test_samples_follow_the_atom_rule(self):
+        # A sample at 1e-160 has a subnormal x @ x: it is no atom and never
+        # drawn, as a zero sample is, so five atoms of six samples are the
+        # draw of all five.  One at 1e-150 is an atom, unit-norm to 1e-12.
+        # A set of only samples that are no atoms is rejected.
+        X = np.random.default_rng(15).random((6, 10)) + 0.1
+        X[1], X[4] = 1e-160, 1e-150
+        params = h.OdlParams(n_atoms=5, seed=3)
+        D = h.odl_learn(X, params)
+        X[1] = 0.0
+        assert D.columns.tobytes() == h.odl_learn(X, params).columns.tobytes()
+        assert D.columns.tobytes() == initial_dictionary(X, 5, 3).columns.tobytes()
+        assert np.max(np.abs(np.linalg.norm(D.columns, axis=0) - 1.0)) < 1e-12
+        small = (X[4] / np.sqrt(X[4] @ X[4])).tobytes()
+        assert sum(column.tobytes() == small for column in D.columns.T) == 1
+        with pytest.raises(ValueError, match="^training set contains only zero samples$"):
+            h.odl_learn(np.full((5, 4), 1e-160), h.OdlParams(n_atoms=2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_rejected(self, bad):

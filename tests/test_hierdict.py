@@ -104,21 +104,20 @@ class TestLocalBackground:
         assert local.n_atoms == 7
 
     def test_tiny_pixels_follow_the_nonzero_rule(self):
-        # 1e-170 squares to 1e-340, below the smallest subnormal, so that
-        # pixel's norm is 0 and it is dropped exactly as a zero pixel is.
-        # 1e-160 squares to a subnormal: the pixel is kept and divided by its
-        # own norm, whose few subnormal bits leave the column's norm within
-        # 1e-5 of one.
+        # 1e-170 squares to 1e-340, below the smallest subnormal, and 1e-160
+        # to a subnormal: neither pixel is an atom, and both are dropped
+        # exactly as a zero pixel is.  1e-150 squares to a normal float64:
+        # that pixel is kept, divided by its own norm, a unit column.
         data = np.random.default_rng(7).random((4, 5, 5)) + 0.1
-        data[:, 1, 2], data[:, 3, 1] = 1e-170, 1e-160
+        data[:, 1, 2], data[:, 3, 1], data[:, 2, 3] = 1e-170, 1e-160, 1e-150
         local = h.local_background(h.HsiCube(data), 2, 2, h.WindowSpec(3, 1))
-        data[:, 1, 2] = 0.0
+        data[:, 1, 2] = data[:, 3, 1] = 0.0
         zeroed = h.local_background(h.HsiCube(data), 2, 2, h.WindowSpec(3, 1))
-        assert local.n_atoms == 7
+        assert local.n_atoms == 6
         assert local.columns.tobytes() == zeroed.columns.tobytes()
-        tiny = data[:, 3, 1]  # ring position 4 in row-major order, (2, 1) dropped
-        assert local.columns[:, 4].tobytes() == (tiny / np.linalg.norm(tiny)).tobytes()
-        assert abs(np.linalg.norm(local.columns[:, 4]) - 1.0) < 1e-5
+        small = data[:, 2, 3]  # ring position 3 in row-major order, (2, 1) dropped
+        assert local.columns[:, 3].tobytes() == (small / np.sqrt(small @ small)).tobytes()
+        assert abs(np.linalg.norm(local.columns[:, 3]) - 1.0) < 1e-12
 
     def test_out_of_bounds_pixel(self):
         cube = cube_of(5, 5)
@@ -127,20 +126,21 @@ class TestLocalBackground:
 
 
 def test_local_background_peak_does_not_grow_with_the_image():
-    # Only the window's pixels are gathered and normalized.  What grows with
-    # the image is its nonzero mask and the ring check's box sums, a few
-    # words a pixel against 200 doubles of spectrum; a normalized copy of
-    # the pixels would grow by the whole cube.
-    peaks, sizes = [], []
-    for side in (24, 96):
-        cube = cube_of(side, side, bands=200, seed=8)
-        tracemalloc.start()
-        try:
-            local = h.local_background(cube, 10, 10, h.WindowSpec(19, 9))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert local.n_atoms == 280
-        peaks.append(peak)
-        sizes.append(cube.data.nbytes)
-    assert peaks[1] - peaks[0] < 0.05 * (sizes[1] - sizes[0])
+    # Only the pixel's clamped outer window is read: its pixels are gathered
+    # and made atoms, and nothing is made over the whole image.  So the peak
+    # grows neither by a normalized copy of the pixels, a whole cube, nor
+    # by an image-sized mask or box sum, a few words a pixel.
+    for sides, bands, bound in (((24, 96), 200, None), ((24, 256), 8, 16 * 1024)):
+        peaks, sizes = [], []
+        for side in sides:
+            cube = cube_of(side, side, bands=bands, seed=8)
+            tracemalloc.start()
+            try:
+                local = h.local_background(cube, 10, 10, h.WindowSpec(19, 9))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert local.n_atoms == 280
+            peaks.append(peak)
+            sizes.append(cube.data.nbytes)
+        assert peaks[1] - peaks[0] < (bound or 0.05 * (sizes[1] - sizes[0]))
