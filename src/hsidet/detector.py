@@ -22,7 +22,7 @@ from . import dictlearn, predetect
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
 from .hierdict import WindowSpec, check_rings, window_rings
-from .sparse import SolverParams, _unit_rows, block_residuals, code_block
+from .sparse import SolverParams, _atom_mask, block_residuals, code_block
 
 
 _TILE = 16  # side of the square image tiles whose pixels share one pool
@@ -54,12 +54,10 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
     if window is None:
         yield slice(None), pixels, shared.columns, code_block(pixels, shared.columns, params)
         return
-    height, width = cube.height, cube.width
-    rows = pixels.reshape(height, width, -1)  # atoms made a row at a time, not a whole cube
-    check_rings(np.array([_unit_rows(row)[0] for row in rows]), window)
-    index = np.arange(height * width).reshape(height, width)
-    for y in range(0, height, _TILE):
-        for x in range(0, width, _TILE):
+    index = np.arange(cube.n_pixels).reshape(cube.height, cube.width)
+    check_rings(_atom_mask(pixels).reshape(index.shape), window)
+    for y in range(0, cube.height, _TILE):
+        for x in range(0, cube.width, _TILE):
             tile = index[y:y + _TILE, x:x + _TILE]
             unit, ring, kept = window_rings(cube, range(y, y + tile.shape[0]),
                                             range(x, x + tile.shape[1]), window)

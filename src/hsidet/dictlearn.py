@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import Dictionary
-from .sparse import MAX_NONZEROS, SolverParams, _unit_rows, block_residuals, code_block
+from .sparse import (MAX_NONZEROS, SolverParams, _atom_mask, _unit_rows, block_residuals,
+                     code_block)
 
 
 @dataclass(frozen=True)
@@ -51,19 +52,19 @@ class OdlParams:
 
 def _initial_atoms(samples, n_atoms: int, seed: int):
     """``samples`` as a C-contiguous float64 (n, bands) stack X, the mask of
-    its rows that are atoms (``sparse._unit_rows``), and the seed atoms: a
-    without-replacement draw of at most ``n_atoms`` of those rows' atoms, as
-    a fresh C-contiguous (bands, atoms) array."""
+    its rows that are atoms (``sparse._atom_mask``), and the seed atoms: the
+    atoms of a without-replacement draw of at most ``n_atoms`` of those rows
+    alone, as a fresh C-contiguous (bands, atoms) array."""
     X = np.ascontiguousarray(samples, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a nonempty (n_samples, bands) array")
     if not np.all(np.isfinite(X)):
         raise ValueError("training set contains non-finite values")
-    keep, atoms = _unit_rows(X)
+    keep = _atom_mask(X)
     if not keep.any():
         raise ValueError("training set contains only zero samples")
-    rng = np.random.default_rng(seed)
-    return X, keep, np.ascontiguousarray(atoms[rng.permutation(len(atoms))[:n_atoms]].T)
+    picks = np.random.default_rng(seed).permutation(np.flatnonzero(keep))[:n_atoms]
+    return X, keep, np.ascontiguousarray(_unit_rows(X[picks])[1].T)
 
 
 def _update_atoms(D, A, B, coupled) -> None:
@@ -86,8 +87,7 @@ def _update_atoms(D, A, B, coupled) -> None:
             (D[:, single] + (B[:, single] - D[:, single] * a) / a).T))
         D[:, single[keep]] = U.T
     for j in np.flatnonzero(active & coupled):
-        keep, u = _unit_rows(D[:, j] + (B[:, j] - D @ A[:, j]) / A[j, j])
-        if keep:
+        if (u := _unit_rows(D[:, j] + (B[:, j] - D @ A[:, j]) / A[j, j])) is not None:
             D[:, j] = u
 
 

@@ -42,8 +42,12 @@ class WindowSpec:
 
 
 def normalize_atoms(D: Dictionary) -> Dictionary:
-    """The atoms (``sparse._unit_rows``) of D's columns, in order."""
-    return Dictionary(_unit_rows(np.ascontiguousarray(D.columns.T))[1].T)
+    """The atoms (``sparse._unit_rows``) of D's columns, in order; raises
+    ``ValueError`` naming the first column that is no atom."""
+    keep, atoms = _unit_rows(np.ascontiguousarray(D.columns.T))
+    if not keep.all():
+        raise ValueError(f"dictionary column {int(np.argmin(keep))} is no atom")
+    return Dictionary(atoms.T)
 
 
 def window_rings(cube: HsiCube, ys: range, xs: range,
@@ -68,18 +72,6 @@ def window_rings(cube: HsiCube, ys: range, xs: range,
     return unit.T, ring, kept
 
 
-def _window_counts(mask: np.ndarray, half: int) -> np.ndarray:
-    """Counts of the True pixels of the (height, width) ``mask`` in the
-    clamped square window of side 2 * half + 1 around each pixel."""
-    height, width = mask.shape
-    table = np.zeros((height + 1, width + 1), dtype=np.intp)
-    table[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
-    ys, xs = np.arange(height)[:, None], np.arange(width)
-    y0, y1 = np.clip(ys - half, 0, height), np.clip(ys + half + 1, 0, height)
-    x0, x1 = np.clip(xs - half, 0, width), np.clip(xs + half + 1, 0, width)
-    return table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0]
-
-
 def _ring_error(x: int, y: int, empty: bool) -> ValueError:
     """The error naming pixel (x, y), whose ring is empty or holds no atom."""
     return ValueError(f"empty local window ring at ({x}, {y})" if empty
@@ -89,10 +81,20 @@ def _ring_error(x: int, y: int, empty: bool) -> ValueError:
 def check_rings(atoms: np.ndarray, w: WindowSpec) -> None:
     """Raise ``ValueError`` naming the first pixel (x, y), in row-major
     order, whose ring holds no atom, given the image's (height, width) mask
-    of ``atoms``.  A ring's count is its outer window's minus its inner
-    window's, both box sums."""
+    of ``atoms``.  A ring's count is the box sum of its clamped outer window
+    minus that of its clamped inner window, both from one summed-area table."""
+    height, width = atoms.shape
+    ys, xs = np.arange(height)[:, None], np.arange(width)
+
     def ring_counts(mask):
-        return _window_counts(mask, w.outer // 2) - _window_counts(mask, w.inner // 2)
+        table = np.zeros((height + 1, width + 1), dtype=np.intp)
+        table[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+        counts = []
+        for half in (w.outer // 2, w.inner // 2):
+            y0, y1 = np.clip(ys - half, 0, height), np.clip(ys + half + 1, 0, height)
+            x0, x1 = np.clip(xs - half, 0, width), np.clip(xs + half + 1, 0, width)
+            counts.append(table[y1, x1] - table[y0, x1] - table[y1, x0] + table[y0, x0])
+        return counts[0] - counts[1]
 
     bad = ring_counts(atoms) == 0
     if bad.any():

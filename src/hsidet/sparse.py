@@ -109,21 +109,22 @@ def _row_dots(X):
     return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
 
 
+def _atom_mask(X):
+    """Whether each row of the (n, bands) stack X, or the one spectrum X, is
+    an atom: its x @ x (``_row_dots``) is at least the smallest normal float64."""
+    return (X @ X if X.ndim == 1 else _row_dots(X)) >= sys.float_info.min
+
+
 def _unit_rows(X):
-    """The one atom rule of every dictionary: a spectrum x is an atom iff
-    x @ x (as ``_row_dots`` forms it) is at least the smallest normal
-    float64, and its atom is x / sqrt(x @ x).  Returns the mask of the rows
-    of the (n, bands) stack X that are atoms and their atoms, a fresh stack;
-    for one spectrum X, in scalar steps for ODL's loop over coupled atoms,
-    whether it is an atom and its atom or None."""
-    tiny = sys.float_info.min
+    """The one atom rule of every dictionary: x is an atom iff ``_atom_mask``
+    holds, and its atom is x / sqrt(x @ x).  Returns the mask of the rows of
+    the (n, bands) stack X that are atoms and their atoms, a fresh stack; for
+    one spectrum X, in scalar steps for ODL's coupled atoms, its atom or None."""
+    keep = _atom_mask(X)
     if X.ndim == 1:
-        dot = X @ X
-        return (True, X / sqrt(dot)) if dot >= tiny else (False, None)
-    dots = _row_dots(X)
-    keep = dots >= tiny
+        return X / sqrt(X @ X) if keep else None
     atoms = X[keep]
-    atoms /= np.sqrt(dots[keep])[:, None]
+    atoms /= np.sqrt(_row_dots(atoms))[:, None]
     return keep, atoms
 
 
@@ -280,9 +281,8 @@ def code_block(X: np.ndarray, mat: np.ndarray, params: SolverParams,
     """The codes of the rows of ``X`` against ``mat``, as one block, each the
     code ``sparse_code`` gives its row alone.  ``X`` is a C-contiguous, finite
     float64 (n, bands) stack and ``mat`` a (bands, atoms) array; neither is
-    checked here.  A boolean (n,
-    atoms) ``mask`` codes row i against ``mat[:, mask[i]]``, in column order,
-    with indices that count ``mat``'s columns."""
+    checked here.  A boolean (n, atoms) ``mask`` codes row i against
+    ``mat[:, mask[i]]``, in column order, with indices that count its columns."""
     n, n_atoms = X.shape[0], mat.shape[1]
     cap = min(params.max_nonzeros, n_atoms)
     support, coef = np.full((n, cap), -1, dtype=np.intp), np.zeros((n, cap))

@@ -1,5 +1,6 @@
 """Online dictionary learning properties."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -210,6 +211,19 @@ class TestOdlLearn:
         assert sum(column.tobytes() == small for column in D.columns.T) == 1
         with pytest.raises(ValueError, match="^training set contains only zero samples$"):
             h.odl_learn(np.full((5, 4), 1e-160), h.OdlParams(n_atoms=2))
+
+    def test_peak_holds_no_normalized_copy_of_the_samples(self):
+        # Only the drawn samples are made atoms.  A normalized copy of the
+        # samples would be one whole sample set; the finite check's mask is
+        # an eighth of one.
+        X = np.random.default_rng(16).random((10000, 64))
+        tracemalloc.start()
+        try:
+            h.odl_learn(X, h.OdlParams(n_atoms=4, epochs=1, sparsity=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_rejected(self, bad):

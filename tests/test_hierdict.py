@@ -40,6 +40,14 @@ class TestNormalizeAtoms:
         dic = h.normalize_atoms(h.Dictionary(np.array([[3.0], [4.0]])))
         assert np.allclose(dic.columns[:, 0], [0.6, 0.8], atol=1e-15)
 
+    def test_column_that_is_no_atom_rejected(self):
+        # 1e-160 squares to a subnormal: that column has no atom, and the
+        # error names it rather than dropping it and shifting the columns.
+        columns = np.ones((4, 3))
+        columns[:, 1] = 1e-160
+        with pytest.raises(ValueError, match="^dictionary column 1 is no atom$"):
+            h.normalize_atoms(h.Dictionary(columns))
+
 
 class TestLocalBackground:
     def test_interior_full_scale_atom_count(self):
