@@ -22,7 +22,7 @@ from . import dictlearn, predetect
 from .config import DetectorConfig
 from .cube import Dictionary, HsiCube, ScoreMap
 from .hierdict import WindowSpec, check_rings, window_rings
-from .sparse import SolverParams, _atom_mask, block_residuals, code_block
+from .sparse import SolverParams, _is_atom, _row_dots, block_residuals, code_block
 
 
 _TILE = 16  # side of the square image tiles whose pixels share one pool
@@ -55,7 +55,7 @@ def _ring_codes(cube: HsiCube, shared: Dictionary, window: WindowSpec | None,
         yield slice(None), pixels, shared.columns, code_block(pixels, shared.columns, params)
         return
     index = np.arange(cube.n_pixels).reshape(cube.height, cube.width)
-    check_rings(_atom_mask(pixels).reshape(index.shape), window)
+    check_rings(_is_atom(_row_dots(pixels)).reshape(index.shape), window)
     for y in range(0, cube.height, _TILE):
         for x in range(0, cube.width, _TILE):
             tile = index[y:y + _TILE, x:x + _TILE]

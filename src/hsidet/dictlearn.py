@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import Dictionary
-from .sparse import (MAX_NONZEROS, SolverParams, _atom_mask, _unit_rows, block_residuals,
-                     code_block)
+from .sparse import (MAX_NONZEROS, SolverParams, _is_atom, _row_dots, _unit_rows,
+                     block_residuals, code_block)
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class OdlParams:
 
 def _initial_atoms(samples, n_atoms: int, seed: int):
     """``samples`` as a C-contiguous float64 (n, bands) stack X, the mask of
-    its rows that are atoms (``sparse._atom_mask``), and the seed atoms: the
+    its rows that are atoms (``sparse._is_atom``), and the seed atoms: the
     atoms of a without-replacement draw of at most ``n_atoms`` of those rows
     alone, as a fresh C-contiguous (bands, atoms) array."""
     X = np.ascontiguousarray(samples, dtype=np.float64)
@@ -60,7 +60,7 @@ def _initial_atoms(samples, n_atoms: int, seed: int):
         raise ValueError("training set must be a nonempty (n_samples, bands) array")
     if not np.all(np.isfinite(X)):
         raise ValueError("training set contains non-finite values")
-    keep = _atom_mask(X)
+    keep = _is_atom(_row_dots(X))
     if not keep.any():
         raise ValueError("training set contains only zero samples")
     picks = np.random.default_rng(seed).permutation(np.flatnonzero(keep))[:n_atoms]

@@ -87,8 +87,7 @@ def check_rings(atoms: np.ndarray, w: WindowSpec) -> None:
     ys, xs = np.arange(height)[:, None], np.arange(width)
 
     def ring_counts(mask):
-        table = np.zeros((height + 1, width + 1), dtype=np.intp)
-        table[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+        table = np.pad(mask.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
         counts = []
         for half in (w.outer // 2, w.inner // 2):
             y0, y1 = np.clip(ys - half, 0, height), np.clip(ys + half + 1, 0, height)

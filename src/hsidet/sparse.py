@@ -109,22 +109,23 @@ def _row_dots(X):
     return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
 
 
-def _atom_mask(X):
-    """Whether each row of the (n, bands) stack X, or the one spectrum X, is
-    an atom: its x @ x (``_row_dots``) is at least the smallest normal float64."""
-    return (X @ X if X.ndim == 1 else _row_dots(X)) >= sys.float_info.min
+def _is_atom(dots):
+    """Whether spectra whose x @ x (as ``_row_dots`` forms them) are ``dots``
+    are atoms: each x @ x at least the smallest normal float64."""
+    return dots >= sys.float_info.min
 
 
 def _unit_rows(X):
-    """The one atom rule of every dictionary: x is an atom iff ``_atom_mask``
+    """The one atom rule of every dictionary: x is an atom iff ``_is_atom``
     holds, and its atom is x / sqrt(x @ x).  Returns the mask of the rows of
     the (n, bands) stack X that are atoms and their atoms, a fresh stack; for
     one spectrum X, in scalar steps for ODL's coupled atoms, its atom or None."""
-    keep = _atom_mask(X)
+    dots = X @ X if X.ndim == 1 else _row_dots(X)
+    keep = _is_atom(dots)
     if X.ndim == 1:
-        return X / sqrt(X @ X) if keep else None
+        return X / sqrt(dots) if keep else None
     atoms = X[keep]
-    atoms /= np.sqrt(_row_dots(atoms))[:, None]
+    atoms /= np.sqrt(dots[keep])[:, None]
     return keep, atoms
 
 
