@@ -27,7 +27,7 @@ from . import cube as hio
 from .config import DetectorConfig, preset_config
 from .detector import METHODS, check_methods, detect
 from .hierdict import WindowSpec
-from .metrics import check_method_name, write_comparison
+from .metrics import check_method_names, write_comparison
 from .metrics import compare as compare_maps
 from .synth import PRESETS, generate
 
@@ -159,20 +159,13 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     # Names are checked before any map is read or any file is written.
-    paths = {}
-    for entry in args.scores:
-        if "=" in entry:
-            name, path = entry.split("=", 1)
-        else:
-            name = os.path.splitext(os.path.basename(entry))[0]
-            path = entry
-        check_method_name(name)
-        if name in paths:
-            raise ValueError(f"score map name {name!r} is given more than once")
-        paths[name] = path
+    entries = [entry.split("=", 1) if "=" in entry
+               else (os.path.splitext(os.path.basename(entry))[0], entry)
+               for entry in args.scores]
+    check_method_names([name for name, _ in entries])
     truth = _load_mask(args.mask)
     named = []
-    for name, path in paths.items():
+    for name, path in entries:
         smap = hio.load_scoremap(path)
         _check_fits(path, smap.values.shape, args.mask, truth.labels.shape)
         named.append((name, smap))

@@ -9,15 +9,12 @@ match the synthetic scenes.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
+from .cube import check_fields
 from .hierdict import WindowSpec
 from .sparse import MAX_NONZEROS
-
-_COUNTS = ("n_target_atoms", "n_bg_atoms", "n_target_train", "odl_epochs", "threads")
 
 
 @dataclass(frozen=True)
@@ -43,21 +40,9 @@ class DetectorConfig:
     def __post_init__(self):
         if not isinstance(self.window, WindowSpec):
             raise ValueError("window must be a WindowSpec")
-        for name in (*_COUNTS, "k", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        for name in ("lam", "gamma", "bg_fraction"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a real number")
-        for name in _COUNTS:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 1 <= self.k <= MAX_NONZEROS:
-            raise ValueError(f"k must lie in [1, {MAX_NONZEROS}]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lam must be finite and >= 0")
+        check_fields(self, {"k": (1, MAX_NONZEROS), "n_target_atoms": 1, "n_bg_atoms": 1,
+                            "n_target_train": 1, "seed": 0, "odl_epochs": 1, "threads": 1},
+                     reals=("lam", "gamma", "bg_fraction"), nonnegative=("lam",))
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0.0 < self.bg_fraction < 1.0:

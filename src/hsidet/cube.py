@@ -14,11 +14,16 @@ copying it; ``HsiCube(arr)`` still copies.  A file is read and widened one
 block at a time (image rows for ``bil``, bands for ``bsq``) and written in
 the same blocks, and the one finiteness scan runs over blocks of pixel
 rows, so no cube-sized mask exists either.
+
+Every module imports this one, so it also holds the one rule for the number
+fields of the parameter objects (``check_fields``).
 """
 
 from __future__ import annotations
 
 import io
+import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -31,6 +36,28 @@ class FormatError(ValueError):
 
 
 _BLOCK_VALUES = 1 << 16    # values per file block and finiteness-scan block
+
+
+def check_fields(obj, counts: dict, reals=(), nonnegative=()) -> None:
+    """The one rule for the number fields of a parameter object, field by
+    field: raise a ``ValueError`` naming the first bad one.  ``counts`` maps
+    each integer field to its least value, its (least, most) pair or None for
+    no bound; each field in ``reals`` must be a real number, and each of those
+    in ``nonnegative`` also finite and >= 0."""
+    for name, bound in counts.items():
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+        if isinstance(bound, tuple) and not bound[0] <= value <= bound[1]:
+            raise ValueError(f"{name} must lie in [{bound[0]}, {bound[1]}]")
+        if isinstance(bound, int) and value < bound:
+            raise ValueError(f"{name} must be >= {bound}")
+    for name in reals:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number")
+        if name in nonnegative and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0")
 
 
 def _pixel_buffer(bands: int, height: int, width: int) -> np.ndarray:

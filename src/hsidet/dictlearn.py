@@ -17,12 +17,11 @@ residual taken from the mini-batch's code block (``sparse.block_residuals``).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import Dictionary
+from .cube import Dictionary, check_fields
 from .sparse import (MAX_NONZEROS, SolverParams, _is_atom, _row_dots, _unit_rows,
                      block_residuals, code_block)
 
@@ -36,18 +35,8 @@ class OdlParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_atoms", "epochs", "sparsity", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 1 <= self.sparsity <= MAX_NONZEROS:
-            raise ValueError(f"sparsity must lie in [1, {MAX_NONZEROS}]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        SolverParams(lam=self.lam)  # the solver's own checks of lam
+        check_fields(self, {"n_atoms": 1, "epochs": 1, "sparsity": (1, MAX_NONZEROS), "seed": 0},
+                     reals=("lam",), nonnegative=("lam",))
 
 
 def _initial_atoms(samples, n_atoms: int, seed: int):
@@ -58,9 +47,12 @@ def _initial_atoms(samples, n_atoms: int, seed: int):
     X = np.ascontiguousarray(samples, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a nonempty (n_samples, bands) array")
-    if not np.all(np.isfinite(X)):
+    # A non-finite value makes its row's x @ x non-finite; so does overflow,
+    # which only those rows' own values tell apart.
+    dots = _row_dots(X)
+    if not np.isfinite(X[~np.isfinite(dots)]).all():
         raise ValueError("training set contains non-finite values")
-    keep = _is_atom(_row_dots(X))
+    keep = _is_atom(dots)
     if not keep.any():
         raise ValueError("training set contains only zero samples")
     picks = np.random.default_rng(seed).permutation(np.flatnonzero(keep))[:n_atoms]

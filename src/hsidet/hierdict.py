@@ -13,12 +13,11 @@ image whose ring holds no atom.  ``detector._ring_codes`` builds from it the
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import Dictionary, HsiCube
+from .cube import Dictionary, HsiCube, check_fields
 from .sparse import _unit_rows
 
 
@@ -30,11 +29,7 @@ class WindowSpec:
     inner: int = 9
 
     def __post_init__(self):
-        for name in ("outer", "inner"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.inner < 1:
-            raise ValueError("inner window must be >= 1")
+        check_fields(self, {"outer": None, "inner": 1})
         if self.outer <= self.inner:
             raise ValueError("outer window must exceed inner window")
         if self.outer % 2 == 0 or self.inner % 2 == 0:

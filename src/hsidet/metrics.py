@@ -95,10 +95,14 @@ def compare(
     return rows
 
 
-def check_method_name(name: str) -> None:
-    """Reject a name unfit for an ``auc.csv`` field or a file name."""
-    if not name or "," in name or "/" in name or not name.isascii():
-        raise ValueError(f"score map name {name!r} is empty, not ASCII or contains ',' or '/'")
+def check_method_names(names) -> None:
+    """Reject, in order, a name unfit for an ``auc.csv`` field or a file
+    name, or one given more than once."""
+    for i, name in enumerate(names):
+        if not name or "," in name or "/" in name or not name.isascii():
+            raise ValueError(f"score map name {name!r} is empty, not ASCII or contains ',' or '/'")
+        if name in names[:i]:
+            raise ValueError(f"score map name {name!r} is given more than once")
 
 
 def write_comparison(
@@ -107,8 +111,7 @@ def write_comparison(
 ) -> None:
     """Emit ``auc.csv``, one ``roc_<name>.csv`` per method, and a ``roc.svg``
     overlay plot.  Every name is checked before ``out_dir`` is created."""
-    for name, _, _ in rows:
-        check_method_name(name)
+    check_method_names([name for name, _, _ in rows])
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "auc.csv"), "w", encoding="ascii") as fh:
         fh.write("method,auc\n")

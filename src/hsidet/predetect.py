@@ -134,7 +134,7 @@ def select_training_sets(
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
     if not 0.0 < bg_fraction < 1.0:
-        raise ValueError("bg_fraction must be in (0, 1)")
+        raise ValueError("bg_fraction must lie in (0, 1)")
     N = cube.n_pixels
     n_bg = int(np.floor(bg_fraction * N))
     if n_bg == 0:

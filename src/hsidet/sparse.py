@@ -36,16 +36,15 @@ spectrum and codes it as a stack of one row, builds a ``SparseCode``.
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, isfinite, sqrt
+from math import comb, sqrt
 
 import numpy as np
 
-from .cube import Dictionary
+from .cube import Dictionary, check_fields
 
 MAX_NONZEROS = 12      # largest support cap: every support's 2^cap sign patterns are solved
 _ENUM_LIMIT = 512      # max support count for the exact small-dictionary path
@@ -59,14 +58,8 @@ class SolverParams:
     max_nonzeros: int = 5     # hard support cap
 
     def __post_init__(self):
-        if not isinstance(self.lam, numbers.Real):
-            raise ValueError("lam must be a real number")
-        if not (isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lam must be finite and >= 0")
-        if not isinstance(self.max_nonzeros, numbers.Integral):
-            raise ValueError("max_nonzeros must be an integer")
-        if not 1 <= self.max_nonzeros <= MAX_NONZEROS:
-            raise ValueError(f"max_nonzeros must lie in [1, {MAX_NONZEROS}]")
+        check_fields(self, {"max_nonzeros": (1, MAX_NONZEROS)}, reals=("lam",),
+                     nonnegative=("lam",))
 
 
 @dataclass(frozen=True, eq=False)

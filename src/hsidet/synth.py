@@ -8,13 +8,11 @@ is added on top.  Everything is deterministic per seed.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import _BLOCK_VALUES, GroundTruthMask, HsiCube, _pixel_buffer
+from .cube import _BLOCK_VALUES, GroundTruthMask, HsiCube, _pixel_buffer, check_fields
 
 PLACEMENTS = ("scattered", "clustered")
 
@@ -32,19 +30,11 @@ class SceneSpec:
     placement: str = "scattered"
 
     def __post_init__(self):
-        for name, least in (("width", 1), ("height", 1), ("bands", 1), ("n_endmembers", 1),
-                            ("n_targets", 1), ("seed", 0)):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
-        for name in ("target_fill", "noise_sigma"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a real number")
+        check_fields(self, {"width": 1, "height": 1, "bands": 1, "n_endmembers": 1,
+                            "n_targets": 1, "seed": 0},
+                     reals=("target_fill", "noise_sigma"), nonnegative=("noise_sigma",))
         if not 0.0 < self.target_fill <= 1.0:
             raise ValueError("target_fill must be in (0, 1]")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ValueError("noise_sigma must be finite and >= 0")
         if self.placement not in PLACEMENTS:
             raise ValueError(f"placement must be one of {PLACEMENTS}")
         if self.n_targets >= self.width * self.height:
@@ -77,6 +67,8 @@ def _clustered_positions(rng, width, height, n) -> list[tuple[int, int]]:
     # Cluster block sized for roughly 30% target density inside it.
     side = max(2, int(np.ceil(np.sqrt(n / 0.3))))
     side = min(side, width, height)
+    if n > side * side:
+        raise ValueError(f"cannot place {n} targets in a {side}x{side} cluster")
     x0 = int(rng.integers(0, width - side + 1))
     y0 = int(rng.integers(0, height - side + 1))
     cells = rng.permutation(side * side)[:n]

@@ -353,6 +353,7 @@ class TestCompareCommand:
         ("--lambda", "nan", "lam"),
         ("--lambda", "inf", "lam"),
         ("--bg-fraction", "1", "bg_fraction"),
+        ("--iwr", "0", "inner"),
     ])
     def test_bad_config_flag_fails_before_anything_is_written(
             self, tmp_path, capsys, flag, value, field):

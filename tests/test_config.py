@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,10 +58,14 @@ def test_bad_value_is_rejected_naming_the_field(field, value):
     (h.OdlParams, {"n_atoms": 4, "lam": "0.1"}, "lam must be a real number"),
     (h.OdlParams, {"n_atoms": 4, "lam": -1.0}, "lam must be finite and >= 0"),
     (h.OdlParams, {"n_atoms": 4, "lam": math.inf}, "lam must be finite and >= 0"),
+    (h.WindowSpec, {"inner": 0}, "inner must be >= 1"),
+    (h.DetectorConfig, {"k": 13}, "k must lie in [1, 12]"),
+    (h.SceneSpec, {"noise_sigma": math.nan}, "noise_sigma must be finite and >= 0"),
+    (h.SceneSpec, {"width": 2.5}, "width must be an integer"),
 ])
 def test_pipeline_parameters_reject_bad_counts_naming_the_field(cls, kwargs, message):
     # Caught at construction, not as a TypeError or a NumPy error mid-run.
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**kwargs)
 
 
@@ -68,6 +73,8 @@ def test_pipeline_parameters_accept_numpy_integers():
     assert h.WindowSpec(np.int64(9), np.int64(3)).outer == 9
     assert h.SolverParams(max_nonzeros=np.int64(3)).max_nonzeros == 3
     assert h.OdlParams(n_atoms=np.int64(4), epochs=np.int32(2), seed=np.int64(0)).n_atoms == 4
+    assert h.DetectorConfig(k=np.int64(3), n_bg_atoms=np.int32(8), seed=np.int64(1)).k == 3
+    assert h.SceneSpec(width=np.int64(8), height=np.int32(8), seed=np.int64(2)).width == 8
 
 
 def test_to_dict_keys_are_the_fields_with_window_split():

@@ -213,9 +213,9 @@ class TestOdlLearn:
             h.odl_learn(np.full((5, 4), 1e-160), h.OdlParams(n_atoms=2))
 
     def test_peak_holds_no_normalized_copy_of_the_samples(self):
-        # Only the drawn samples are made atoms.  A normalized copy of the
-        # samples would be one whole sample set; the finite check's mask is
-        # an eighth of one.
+        # Only the drawn samples are made atoms, and finiteness is read off
+        # the rows' own dots.  A normalized copy of the samples would be one
+        # whole sample set, and an (n, bands) finite mask an eighth of one.
         X = np.random.default_rng(16).random((10000, 64))
         tracemalloc.start()
         try:
@@ -223,7 +223,7 @@ class TestOdlLearn:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * X.nbytes
+        assert peak < 0.08 * X.nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_sample_rejected(self, bad):
@@ -231,6 +231,14 @@ class TestOdlLearn:
         X[2, 1] = bad
         with pytest.raises(ValueError, match="^training set contains non-finite values$"):
             h.odl_learn(X, h.OdlParams(n_atoms=2))
+
+    def test_overflowing_sample_is_not_called_non_finite(self):
+        # A finite sample whose x @ x overflows has a non-finite dot, as a
+        # NaN or inf sample has; only its own values tell them apart.
+        X = np.ones((4, 3))
+        X[1] = 1e200
+        with np.errstate(over="ignore"):
+            assert dictlearn._initial_atoms(X, 2, 0)[1].all()
 
     def test_dead_atoms_skip_zero_samples(self):
         # Both atoms are one spectrum, so every nonzero sample codes with

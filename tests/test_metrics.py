@@ -161,6 +161,18 @@ class TestCompare:
             h.write_comparison(rows, str(out))
         assert not out.exists()
 
+    def test_repeated_name_rejected_before_anything_is_written(self, tmp_path):
+        # Two rows of one name would give auc.csv two rows and roc_x.csv
+        # only the second curve.
+        labels = np.array([[1, 0], [0, 1]])
+        rows = h.compare([("x", h.ScoreMap(np.array([[0.9, 0.1], [0.2, 0.8]]))),
+                          ("x", h.ScoreMap(np.array([[0.1, 0.9], [0.2, 0.8]])))],
+                         h.GroundTruthMask(labels))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="^score map name 'x' is given more than once$"):
+            h.write_comparison(rows, str(out))
+        assert not out.exists()
+
     def test_svg_is_well_formed_for_any_name(self, tmp_path):
         labels = np.array([[1, 0], [0, 1]])
         smap = h.ScoreMap(np.array([[0.9, 0.1], [0.2, 0.8]]))

@@ -315,5 +315,5 @@ class TestSelectTrainingSets:
     def test_invalid_fraction(self):
         cube = make_cube(np.random.default_rng(11))
         scores = h.ScoreMap(np.zeros((5, 5)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bg_fraction must lie in \(0, 1\)$"):
             h.select_training_sets(scores, cube, 1, 1.0)

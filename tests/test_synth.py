@@ -67,6 +67,13 @@ class TestGenerate:
         density = 40 / float(extent[0] * extent[1])
         assert density >= 0.2
 
+    def test_cluster_too_small_for_its_targets_is_rejected(self):
+        # The cluster side is clamped to the image: 20 targets do not fit a
+        # 4x4 block, and a short mask is never returned.
+        spec = h.SceneSpec(width=4, height=40, n_targets=20, placement="clustered")
+        with pytest.raises(ValueError, match="^cannot place 20 targets in a 4x4 cluster$"):
+            h.generate(spec)
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             h.SceneSpec(target_fill=0.0)
