@@ -182,15 +182,12 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     config = _config_from_args(
         args, preset_config(args.preset) if args.preset else DetectorConfig())
-    if args.preset:
-        cube, mask, signature = generate(PRESETS[args.preset])
-    else:
-        cube, signature, mask = _load_inputs(args.cube, args.signature, args.mask)
-
     log.info("running %s", ",".join(methods))
     if args.preset:
+        cube, mask, signature = generate(PRESETS[args.preset])
         maps = detect(cube, signature, config, methods)
     else:
+        cube, signature, mask = _load_inputs(args.cube, args.signature, args.mask)
         maps = _detect_file(args.cube, cube, signature, config, methods)
     rows = compare_maps(list(maps.items()), mask)
     out = args.out
@@ -275,7 +272,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # pipeline failure -> diagnostic + exit 1
-        log.error("%s", exc)
         log.debug("%s failed", args.command, exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1

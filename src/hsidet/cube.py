@@ -16,11 +16,14 @@ the same blocks, and the one finiteness scan runs over blocks of pixel
 rows, so no cube-sized mask exists either.
 
 Every module imports this one, so it also holds the one rule for the number
-fields of the parameter objects (``check_fields``).
+fields of the parameter objects (``check_fields``) and one BLAS-thread scope.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import io
 import math
 import numbers
@@ -58,6 +61,34 @@ def check_fields(obj, counts: dict, reals=(), nonnegative=()) -> None:
             raise ValueError(f"{name} must be a real number")
         if name in nonnegative and not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and >= 0")
+
+
+@functools.cache
+def _openblas_threads():
+    """NumPy's bundled scipy-openblas thread-count (get, set) pair, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = next(f for f in os.listdir(libs)
+                    if f.startswith("libscipy_openblas64_") and f.endswith(".so"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the process-wide count
+    it found, even on a raise; a no-op without NumPy's bundled scipy-openblas."""
+    get, put = _openblas_threads() or (lambda: None, lambda count: None)
+    count = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(count)
 
 
 def _pixel_buffer(bands: int, height: int, width: int) -> np.ndarray:

@@ -49,9 +49,13 @@ def _initial_atoms(samples, n_atoms: int, seed: int):
         raise ValueError("training set must be a nonempty (n_samples, bands) array")
     # A non-finite value makes its row's x @ x non-finite; so does overflow,
     # which only those rows' own values tell apart.
-    dots = _row_dots(X)
-    if not np.isfinite(X[~np.isfinite(dots)]).all():
+    with np.errstate(over="ignore"):
+        dots = _row_dots(X)
+    bad = np.flatnonzero(~np.isfinite(dots))
+    if not np.isfinite(X[bad]).all():
         raise ValueError("training set contains non-finite values")
+    if bad.size:
+        raise ValueError(f"training sample {bad[0]} overflows: x @ x is not finite")
     keep = _is_atom(dots)
     if not keep.any():
         raise ValueError("training set contains only zero samples")

@@ -13,16 +13,18 @@ correlation (rather than centered covariance) form of CEM is the classical
 convention.  ACE makes no cube-sized array: it works through the pixels in
 blocks of ``_ACE_ROWS``, centring each block afresh, once to sum the
 blocks' covariance products (the first block's product is the start) and
-once to whiten and score them.  A cube of one block keeps the bytes of the
-whole-cube covariance GEMM; at one BLAS thread the whitening has the bytes
-of the whole-cube product whatever the block count.
+once to whiten and score them.  Both detectors run on one OpenBLAS thread
+(``cube.one_blas_thread``), as at many bands their Gram products round
+differently on two.  There, a cube of one block keeps the bytes of the
+whole-cube covariance GEMM, and the whitening has the bytes of the
+whole-cube product whatever the block count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cube import HsiCube, ScoreMap
+from .cube import HsiCube, ScoreMap, one_blas_thread
 from .sparse import _row_dots
 
 RIDGE_EPSILON = 1e-6       # ridge loading eps * trace/m applied when ill-conditioned
@@ -60,6 +62,7 @@ def _check_signature(cube: HsiCube, d: np.ndarray) -> np.ndarray:
     return d
 
 
+@one_blas_thread()
 def cem_detect(cube: HsiCube, d: np.ndarray) -> ScoreMap:
     """Constrained energy minimization; score(d) = 1 by construction."""
     d = _check_signature(cube, d)
@@ -71,6 +74,7 @@ def cem_detect(cube: HsiCube, d: np.ndarray) -> ScoreMap:
     return ScoreMap(scores.reshape(cube.height, cube.width))
 
 
+@one_blas_thread()
 def ace_detect(cube: HsiCube, d: np.ndarray) -> ScoreMap:
     """Adaptive cosine estimator; scores lie in [0, 1].
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import _BLOCK_VALUES, GroundTruthMask, HsiCube, _pixel_buffer, check_fields
+from .cube import (_BLOCK_VALUES, GroundTruthMask, HsiCube, _pixel_buffer, check_fields,
+                   one_blas_thread)
 
 PLACEMENTS = ("scattered", "clustered")
 
@@ -87,7 +88,8 @@ def generate(spec: SceneSpec) -> tuple[HsiCube, GroundTruthMask, np.ndarray]:
     signature = _smooth_spectrum(rng, b) + 0.4  # offset keeps it off the background hull
     buf = _pixel_buffer(b, h, w)
     pixels = buf.reshape(N, b)  # a view: the cube is built in its own buffer
-    np.matmul(rng.dirichlet(np.ones(spec.n_endmembers), size=N), endmembers, out=pixels)
+    with one_blas_thread():
+        np.matmul(rng.dirichlet(np.ones(spec.n_endmembers), size=N), endmembers, out=pixels)
 
     if spec.placement == "scattered":
         min_sep = max(3, min(w, h) // 8)

@@ -6,6 +6,8 @@ import hashlib
 import json
 import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +134,21 @@ class TestDetectCommand:
         assert rc == 1
         # At DEBUG the traceback of the caught failure is logged too.
         assert any(r.levelno == logging.DEBUG and r.exc_info for r in caplog.records)
+
+    def test_failure_is_written_once_to_stderr(self, tmp_path):
+        # The entry point in its own interpreter: the error line alone,
+        # with no log record of the same failure before it.
+        paths = write_tiny_scene(str(tmp_path / "scene"))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(h.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("HSI_LOG", None)
+        run = subprocess.run(
+            [sys.executable, "-m", "hsidet.cli", "detect", "--method", "wshr", "--cube", paths["cube"],
+             "--signature", paths["signature"], "--iwr", "0", "--out", str(tmp_path / "bad")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        assert run.stderr == "error: inner must be >= 1\n"
+        assert not (tmp_path / "bad").exists()
 
 
 class TestEvalCommand:

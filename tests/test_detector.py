@@ -637,16 +637,16 @@ class TestPipeline:
         assert t.mean() > b.mean()
 
 
-# Prints one digest per map of a five-method-style detect on a 100-band
-# scene.  CEM and ACE are left out: at 100 bands and more their Gram,
-# factorizations and whitening round differently at one and two BLAS
-# threads (ROADMAP item 4).
+# Prints one digest per map of a five-method detect on a 100-band scene.
+# At 100 bands CEM's and ACE's Gram products would round differently at
+# one and two BLAS threads if they were not run on one.
 _THREADED_DETECT = """
 import hashlib
 import hsidet as h
 cube, _, signature = h.generate(h.SceneSpec(width=24, height=24, bands=100, n_endmembers=4,
                                              n_targets=8, noise_sigma=0.03, seed=7))
-maps = h.detect(cube, signature, h.preset_config("sparse-targets"), ["std", "shr", "wshr"])
+maps = h.detect(cube, signature, h.preset_config("sparse-targets"),
+                ["cem", "ace", "std", "shr", "wshr"])
 for name, smap in maps.items():
     print(name, hashlib.sha256(smap.values.tobytes()).hexdigest())
 """
@@ -663,5 +663,5 @@ def test_sparse_maps_identical_at_one_and_two_blas_threads_at_100_bands():
         run = subprocess.run([sys.executable, "-c", _THREADED_DETECT], env=env,
                              capture_output=True, text=True, timeout=300, check=True)
         digests.append(run.stdout)
-    assert digests[0].split()[::2] == ["std", "shr", "wshr"]
+    assert digests[0].split()[::2] == ["cem", "ace", "std", "shr", "wshr"]
     assert digests[0] == digests[1]

@@ -234,11 +234,14 @@ class TestOdlLearn:
 
     def test_overflowing_sample_is_not_called_non_finite(self):
         # A finite sample whose x @ x overflows has a non-finite dot, as a
-        # NaN or inf sample has; only its own values tell them apart.
-        X = np.ones((4, 3))
-        X[1] = 1e200
-        with np.errstate(over="ignore"):
-            assert dictlearn._initial_atoms(X, 2, 0)[1].all()
+        # NaN or inf sample has; only its own values tell them apart.  Its
+        # atom x / sqrt(inf) would be all zeros, so it is named instead,
+        # without an overflow warning.
+        X = np.r_[np.ones((3, 3)), np.full((1, 3), 1e200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^training sample 3 overflows: x @ x is not finite$"):
+                h.odl_learn(X, h.OdlParams(n_atoms=4))
 
     def test_dead_atoms_skip_zero_samples(self):
         # Both atoms are one spectrum, so every nonzero sample codes with

@@ -5,12 +5,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import hsidet as h
-from hsidet import predetect
+from hsidet import cube as hcube
+from hsidet import predetect, synth
 
 
 def make_cube(rng, bands=4, height=5, width=5):
@@ -218,6 +220,74 @@ def test_ace_holds_no_centred_copy_of_the_cube():
     finally:
         tracemalloc.stop()
     assert peak / cube.data.nbytes < 0.25
+
+
+_BLAS = hcube._openblas_threads()
+
+
+@pytest.mark.skipif(_BLAS is None, reason="NumPy's bundled scipy-openblas is absent")
+class TestOneBlasThread:
+    """CEM, ACE and scene generation run on one OpenBLAS thread and hand the
+    caller's count back, whether they return or raise."""
+
+    @pytest.fixture
+    def caller_count(self):
+        get, put = _BLAS
+        before = get()
+        put(2)
+        yield 2
+        put(before)
+
+    @pytest.fixture
+    def inside(self, monkeypatch):
+        counts = []
+        regularized = predetect._regularized
+
+        def spying(mat, label, shape):
+            counts.append(_BLAS[0]())
+            return regularized(mat, label, shape)
+
+        monkeypatch.setattr(predetect, "_regularized", spying)
+        return counts
+
+    @pytest.mark.parametrize("detector", [h.cem_detect, h.ace_detect])
+    def test_detector_runs_on_one_thread(self, caller_count, inside, detector):
+        detector(make_cube(np.random.default_rng(0)), np.ones(4))
+        assert inside == [1]
+        assert _BLAS[0]() == caller_count
+
+    def test_count_is_restored_when_ace_raises(self, caller_count, inside):
+        with pytest.raises(predetect.SingularStatisticsError):
+            h.ace_detect(h.HsiCube(np.full((3, 2, 2), 0.5)), np.ones(3))
+        assert inside == [1]
+        assert _BLAS[0]() == caller_count
+
+    def test_count_is_restored_when_cem_rejects_its_signature(self, caller_count):
+        with pytest.raises(ValueError, match="signature length"):
+            h.cem_detect(h.HsiCube(np.ones((3, 2, 2))), np.ones(4))
+        assert _BLAS[0]() == caller_count
+
+    def test_scene_mixing_runs_on_one_thread(self, caller_count, monkeypatch):
+        counts = []
+
+        def matmul(*args, **kwargs):
+            counts.append(_BLAS[0]())
+            return np.matmul(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "np", SimpleNamespace(**{**vars(np), "matmul": matmul}))
+        h.generate(h.SceneSpec(width=8, height=8, bands=5, n_endmembers=2, n_targets=1, seed=0))
+        assert counts == [1]
+        assert _BLAS[0]() == caller_count
+
+
+def test_import_loads_no_blas_library():
+    src = str(Path(h.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", "import hsidet.cube as c; print(c._openblas_threads.cache_info().misses)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert run.stdout == "0\n"
 
 
 class TestRidgeLoading:
